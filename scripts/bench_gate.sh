@@ -68,76 +68,46 @@ cmake --build build-release -j"$(nproc)" \
 ./build-release/bench/micro_tenant >/dev/null
 ./build-release/bench/micro_amm >/dev/null
 
-filter_warm_cells() {
-  python3 - "$1" "$2" <<'EOF'
-import json, sys
+# filter_cells IN OUT REGEX: copies BENCH file IN to OUT keeping only the
+# cells whose algorithm matches REGEX (Python re.search).
+filter_cells() {
+  python3 - "$1" "$2" "$3" <<'EOF'
+import json, re, sys
 doc = json.load(open(sys.argv[1]))
-doc["cells"] = [c for c in doc["cells"] if c["algorithm"].startswith("warm-")]
+doc["cells"] = [c for c in doc["cells"]
+                if re.search(sys.argv[3], c["algorithm"])]
 with open(sys.argv[2], "w") as fh:
     json.dump(doc, fh, indent=2)
     fh.write("\n")
 EOF
 }
 
-# Only the single-threaded cells gate: `-serial` (plain sketch) and `-s1`
-# (one-shard pipeline, i.e. the sharding overhead itself). The S > 1
-# scaling cells are machine-shaped — a 1-core runner cannot speed up — so
-# micro_shard reports them but the baseline excludes them.
-filter_shard_cells() {
-  python3 - "$1" "$2" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-doc["cells"] = [c for c in doc["cells"]
-                if c["algorithm"].endswith(("-serial", "-s1"))]
-with open(sys.argv[2], "w") as fh:
-    json.dump(doc, fh, indent=2)
-    fh.write("\n")
-EOF
-}
-
-# Only the steady-state single-thread cells gate: per-row keyed ingest
-# (`keyed-*`) and the warm lookup path (`lookup-warm`). Creation bursts,
-# eviction churn and the 100k budget fill are allocation-heavy and shaped
-# by the host allocator, and the resident-bytes-* cells are capacity
-# measurements (update_ns = bytes/tenant), so micro_tenant reports them
-# but the baseline excludes them.
-filter_tenant_cells() {
-  python3 - "$1" "$2" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-doc["cells"] = [c for c in doc["cells"]
-                if c["algorithm"].startswith("keyed-")
-                or c["algorithm"] == "lookup-warm"]
-with open(sys.argv[2], "w") as fh:
-    json.dump(doc, fh, indent=2)
-    fh.write("\n")
-EOF
-}
-
-# Only the ingest cells gate: `update-<alg>` (per-pair) and
-# `update-<alg>-batch` (block fast path) are tight single-threaded loops
-# and stable on any host. The product-* query-latency cells are
-# eigensolve/allocation-shaped and too noisy at micro scale, so
-# micro_amm reports them but the baseline excludes them.
-filter_amm_cells() {
-  python3 - "$1" "$2" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-doc["cells"] = [c for c in doc["cells"]
-                if c["algorithm"].startswith("update-")]
-with open(sys.argv[2], "w") as fh:
-    json.dump(doc, fh, indent=2)
-    fh.write("\n")
-EOF
-}
+# Gated cell sets, one regex per micro bench.
+#  - micro_query: warm-query latency only (see the header comment).
+#  - micro_shard: the single-threaded cells, `-serial` (plain sketch) and
+#    `-s1` (one-shard pipeline, i.e. the sharding overhead itself). The
+#    S > 1 scaling cells are machine-shaped — a 1-core runner cannot speed
+#    up — so micro_shard reports them but the baseline excludes them.
+#  - micro_tenant: the steady-state single-thread cells, per-row keyed
+#    ingest (`keyed-*`) and the warm lookup path (`lookup-warm`). Creation
+#    bursts, eviction churn and the 100k budget fill are allocation-heavy
+#    and shaped by the host allocator, and the resident-bytes-* cells are
+#    capacity measurements (update_ns = bytes/tenant).
+#  - micro_amm: the ingest cells, `update-<alg>` (per-pair) and
+#    `update-<alg>-batch` (block fast path). The product-* query-latency
+#    cells are eigensolve/allocation-shaped and too noisy at micro scale.
+QUERY_CELLS='^warm-'
+SHARD_CELLS='-(serial|s1)$'
+TENANT_CELLS='^keyed-|^lookup-warm$'
+AMM_CELLS='^update-'
 
 if [[ "$update_baseline" == 1 ]]; then
   cp BENCH_micro_sketch.json "$SKETCH_BASELINE"
   cp BENCH_micro_metrics.json "$METRICS_BASELINE"
-  filter_warm_cells BENCH_micro_query.json "$QUERY_BASELINE"
-  filter_shard_cells BENCH_micro_shard.json "$SHARD_BASELINE"
-  filter_tenant_cells BENCH_micro_tenant.json "$TENANT_BASELINE"
-  filter_amm_cells BENCH_micro_amm.json "$AMM_BASELINE"
+  filter_cells BENCH_micro_query.json "$QUERY_BASELINE" "$QUERY_CELLS"
+  filter_cells BENCH_micro_shard.json "$SHARD_BASELINE" "$SHARD_CELLS"
+  filter_cells BENCH_micro_tenant.json "$TENANT_BASELINE" "$TENANT_CELLS"
+  filter_cells BENCH_micro_amm.json "$AMM_BASELINE" "$AMM_CELLS"
   echo "baselines refreshed: $SKETCH_BASELINE $METRICS_BASELINE" \
        "$QUERY_BASELINE $SHARD_BASELINE $TENANT_BASELINE $AMM_BASELINE"
   exit 0
@@ -155,15 +125,18 @@ python3 scripts/bench_diff.py "$METRICS_BASELINE" BENCH_micro_metrics.json \
   --threshold 0.5 || status=1
 # Restrict the fresh run to the gated (single-threaded) shard cells before
 # diffing, mirroring what the committed baseline holds.
-filter_shard_cells BENCH_micro_shard.json BENCH_micro_shard.gated.json
+filter_cells BENCH_micro_shard.json BENCH_micro_shard.gated.json \
+  "$SHARD_CELLS"
 python3 scripts/bench_diff.py "$SHARD_BASELINE" BENCH_micro_shard.gated.json \
   ${diff_args[@]+"${diff_args[@]}"} || status=1
 rm -f BENCH_micro_shard.gated.json
-filter_tenant_cells BENCH_micro_tenant.json BENCH_micro_tenant.gated.json
+filter_cells BENCH_micro_tenant.json BENCH_micro_tenant.gated.json \
+  "$TENANT_CELLS"
 python3 scripts/bench_diff.py "$TENANT_BASELINE" BENCH_micro_tenant.gated.json \
   ${diff_args[@]+"${diff_args[@]}"} || status=1
 rm -f BENCH_micro_tenant.gated.json
-filter_amm_cells BENCH_micro_amm.json BENCH_micro_amm.gated.json
+filter_cells BENCH_micro_amm.json BENCH_micro_amm.gated.json \
+  "$AMM_CELLS"
 python3 scripts/bench_diff.py "$AMM_BASELINE" BENCH_micro_amm.gated.json \
   ${diff_args[@]+"${diff_args[@]}"} || status=1
 rm -f BENCH_micro_amm.gated.json

@@ -31,6 +31,7 @@
 #include "linalg/matrix.h"
 #include "util/logging.h"
 #include "util/metrics.h"
+#include "util/versioned_cache.h"
 
 namespace swsketch {
 
@@ -104,15 +105,10 @@ class AmmSketch : public SlidingWindowSketch {
   Matrix QueryProduct() {
     metrics_.product_queries->Add();
     const uint64_t version = StateVersion();
-    if (product_valid_ && version != 0 && version == product_version_) {
-      metrics_.product_cache_hits->Add();
-      return cached_product_;
-    }
-    metrics_.product_cache_misses->Add();
-    cached_product_ = ComputeProduct();
-    product_version_ = version;
-    product_valid_ = true;
-    return cached_product_;
+    if (version == 0) product_cache_.Invalidate();
+    return product_cache_.GetOrCompute(
+        version, metrics_.product_cache_hits, metrics_.product_cache_misses,
+        [this] { return ComputeProduct(); });
   }
 
   /// Off-diagonal block extraction: given a stacked approximation `c`
@@ -159,23 +155,13 @@ class AmmSketch : public SlidingWindowSketch {
   /// A_W^T B_W; stacked backends extract the block from Query().
   virtual Matrix ComputeProduct() = 0;
 
-  /// Subclasses call this on reload to restart the product cache cold
-  /// (caches are runtime state and never ride in the wire payload).
-  void ResetProductCache() {
-    product_valid_ = false;
-    product_version_ = 0;
-    cached_product_ = Matrix(0, 0);
-  }
-
  private:
   size_t dim_a_;
   size_t dim_b_;
   MetricSet metrics_;
   std::vector<double> stack_scratch_;
-
-  bool product_valid_ = false;
-  uint64_t product_version_ = 0;
-  Matrix cached_product_;
+  // QueryProduct() result, keyed on StateVersion().
+  VersionedCache<uint64_t, Matrix> product_cache_;
 };
 
 }  // namespace swsketch

@@ -99,7 +99,6 @@ DsFd::Frame& DsFd::OpenFrame(double ts) {
       Frame{.fd = std::move(fd), .birth = ts, .last = ts, .snapshots = {}});
   metrics_.frames_opened->Add();
   metrics_.live_frames->Add(1);
-  ++structure_version_;
   return frames_.back();
 }
 
@@ -115,7 +114,6 @@ void DsFd::Expire(double now) {
     metrics_.frames_expired->Add();
     metrics_.live_frames->Add(-1);
     frames_.erase(frames_.begin());
-    ++structure_version_;
   }
   if (!frames_.empty()) EvictFrontSnapshots(start);
 }
@@ -132,7 +130,6 @@ void DsFd::EvictFrontSnapshots(double window_start) {
     sn.erase(sn.begin(), sn.begin() + static_cast<ptrdiff_t>(drop));
     metrics_.snapshots_evicted->Add(drop);
     metrics_.live_snapshots->Add(-static_cast<int64_t>(drop));
-    ++structure_version_;
   }
 }
 
@@ -162,7 +159,6 @@ void DsFd::DumpSnapshot(Frame& frame, double ts) {
   frame.mass_since_snapshot = 0.0;
   metrics_.snapshots_taken->Add();
   metrics_.live_snapshots->Add(1);
-  ++structure_version_;
   ThinLadder(frame, spacing);
 }
 
@@ -195,7 +191,6 @@ void DsFd::ThinLadder(Frame& frame, double spacing) {
     const size_t dropped = sn.size() - kept.size();
     metrics_.snapshots_evicted->Add(dropped);
     metrics_.live_snapshots->Add(-static_cast<int64_t>(dropped));
-    ++structure_version_;
   }
   sn = std::move(kept);
 }
@@ -233,10 +228,7 @@ void DsFd::Update(std::span<const double> row, double ts) {
   // Cut once the frame alone spans a full window extent: every older
   // frame is then strictly older than any window starting at or after
   // `ts`, so at most this frame ever straddles the window start.
-  if (f.birth <= window_.Start(ts)) {
-    f.frozen = true;
-    ++structure_version_;
-  }
+  if (f.birth <= window_.Start(ts)) f.frozen = true;
 }
 
 void DsFd::UpdateBatch(const Matrix& rows, std::span<const double> ts) {
@@ -287,10 +279,7 @@ void DsFd::UpdateBatch(const Matrix& rows, std::span<const double> ts) {
     if (snap || cut) {
       flush(i + 1);
       if (snap) DumpSnapshot(f, t);
-      if (cut) {
-        f.frozen = true;
-        ++structure_version_;
-      }
+      if (cut) f.frozen = true;
     }
   }
   flush(rows.rows());
@@ -312,12 +301,12 @@ Matrix DsFd::Query() {
     metrics_.query_cache_misses->Add();
     return Matrix(0, dim_);
   }
-  if (result_valid_ && result_version_ == mutation_version_) {
-    metrics_.query_cache_hits->Add();
-    return cached_result_;
-  }
-  metrics_.query_cache_misses->Add();
+  return result_cache_.GetOrCompute(
+      mutation_version_, metrics_.query_cache_hits,
+      metrics_.query_cache_misses, [this] { return ProjectWindow(); });
+}
 
+Matrix DsFd::ProjectWindow() {
   const double start = window_.Start(now_);
   CompressScratch& s = EnsureCompress();
   s.stack.ResetShape(0, dim_);
@@ -352,11 +341,7 @@ Matrix DsFd::Query() {
     }
   }
 
-  Matrix out = CompressSigned(options_.ell, 0.0);
-  cached_result_ = out;
-  result_valid_ = true;
-  result_version_ = mutation_version_;
-  return out;
+  return CompressSigned(options_.ell, 0.0);
 }
 
 DsFd::CompressScratch& DsFd::EnsureCompress() {
@@ -550,7 +535,6 @@ Result<DsFd> DsFd::Deserialize(ByteReader* reader) {
     sketch.metrics_.live_snapshots->Add(static_cast<int64_t>(ns));
   }
   sketch.metrics_.reloads->Add();
-  ++sketch.structure_version_;
   ++sketch.mutation_version_;
   return sketch;
 }

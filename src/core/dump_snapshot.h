@@ -66,6 +66,7 @@
 #include "util/metrics.h"
 #include "util/serialize.h"
 #include "util/status.h"
+#include "util/versioned_cache.h"
 
 namespace swsketch {
 
@@ -270,6 +271,10 @@ class DsFd : public SlidingWindowSketch {
   void DumpSnapshot(Frame& frame, double ts);
   CompressScratch& EnsureCompress();
 
+  // Cold Query() path: stacks every frame's FD approximation, subtracts
+  // the straddling frame's newest expired snapshot, and projects.
+  Matrix ProjectWindow();
+
   // Emits the best rank-<=max_rows PSD approximation of
   // sum_a signs[a] * stack_a^T stack_a restricted to the stack's row
   // span, dropping eigenvalues below min_eigenvalue. Deterministic.
@@ -302,11 +307,8 @@ class DsFd : public SlidingWindowSketch {
   bool heavy_tail_warned_ = false;
 
   uint64_t mutation_version_ = 0;
-  uint64_t structure_version_ = 0;
-
-  bool result_valid_ = false;
-  uint64_t result_version_ = 0;
-  Matrix cached_result_;
+  // Query() result, keyed on mutation_version_ (StateVersion()).
+  VersionedCache<uint64_t, Matrix> result_cache_;
 };
 
 }  // namespace swsketch

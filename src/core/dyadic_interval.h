@@ -21,13 +21,14 @@
 //
 // Query serving: the closed-block structure changes only at structural
 // events (level-1 close, expiry, deserialize), tracked by a version
-// counter. The stacked approximation of the dyadic cover is cached keyed
-// on (version, j0) — under a fixed structure the cover is a pure function
-// of the first in-window level-1 block — and the final result is
-// additionally keyed on next_id_, which pins the level-1 active sketch
-// contents. A warm query is a single matrix copy; the cold cover assembly
-// computes per-block approximations on the shared ThreadPool (reads only,
-// stacked in deterministic cover order, byte-identical to serial).
+// counter. The stacked approximation of the dyadic cover is cached (a
+// VersionedCache) keyed on (version, j0) — under a fixed structure the
+// cover is a pure function of the first in-window level-1 block — and the
+// final result is additionally keyed on next_id_, which pins the level-1
+// active sketch contents. A warm query is a single matrix copy; the cold
+// cover assembly computes per-block approximations on the shared
+// ThreadPool (reads only, stacked in deterministic cover order,
+// byte-identical to serial).
 //
 // SketchT requirements: Append(span<const double>, uint64_t id),
 // Approximation() -> Matrix, RowsStored(). Mergeability is NOT required.
@@ -40,6 +41,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -54,6 +56,7 @@
 #include "util/parallel.h"
 #include "util/serialize.h"
 #include "util/status.h"
+#include "util/versioned_cache.h"
 
 namespace swsketch {
 
@@ -318,46 +321,25 @@ class DyadicInterval : public SlidingWindowSketch {
 
     // Final-result cache: same structure, same cover anchor, same active
     // rows (next_id_ pins the level-1 active sketch) — return the copy.
-    if (result_valid_ && result_version_ == structure_version_ &&
-        result_j0_ == j0 && result_next_id_ == next_id_) {
-      metrics_.query_cache_hits->Add();
-      return cached_result_;
-    }
-    metrics_.query_cache_misses->Add();
-
-    // Cover cache: under a fixed version the greedy cover is a pure
-    // function of j0 (closed_l1_ only changes with the version).
-    if (!closed_valid_ || closed_version_ != structure_version_ ||
-        closed_j0_ != j0) {
-      metrics_.cover_cache_misses->Add();
-      cached_closed_ = AssembleCover(j0);
-      closed_valid_ = true;
-      closed_version_ = structure_version_;
-      closed_j0_ = j0;
-    } else {
-      metrics_.cover_cache_hits->Add();
-    }
-
-    // The level-1 active sketch covers the most recent rows.
-    Matrix b = cached_closed_;
-    if (actives_[0].started) {
-      b = b.VStack(actives_[0].sketch.Approximation());
-    }
-    cached_result_ = std::move(b);
-    result_valid_ = true;
-    result_version_ = structure_version_;
-    result_j0_ = j0;
-    result_next_id_ = next_id_;
-    return cached_result_;
+    return result_cache_.GetOrCompute(
+        {structure_version_, j0, next_id_}, metrics_.query_cache_hits,
+        metrics_.query_cache_misses, [&] {
+          // Cover cache: under a fixed version the greedy cover is a pure
+          // function of j0 (closed_l1_ only changes with the version).
+          const Matrix& cover = cover_cache_.GetOrCompute(
+              {structure_version_, j0}, metrics_.cover_cache_hits,
+              metrics_.cover_cache_misses, [&] { return AssembleCover(j0); });
+          // The level-1 active sketch covers the most recent rows.
+          if (!actives_[0].started) return cover;
+          return cover.VStack(actives_[0].sketch.Approximation());
+        });
   }
 
   /// Drops the cached cover and cached result so the next Query() takes
   /// the cold path (bench/test hook; behaviour is unchanged).
   void InvalidateQueryCache() {
-    closed_valid_ = false;
-    result_valid_ = false;
-    cached_closed_ = Matrix(0, dim_);
-    cached_result_ = Matrix(0, dim_);
+    cover_cache_.Invalidate();
+    result_cache_.Invalidate();
   }
 
   /// Structure version: bumped on every level-1 close (which closes all
@@ -612,15 +594,11 @@ class DyadicInterval : public SlidingWindowSketch {
   uint64_t structure_version_ = 0;
   uint64_t mutation_version_ = 0;  // Every Update/AdvanceTo/reload.
   std::vector<const Block*> cover_scratch_;  // Rebuilt on cover assembly.
-  Matrix cached_closed_{0, 0};  // Stacked cover; guarded by closed_valid_.
-  bool closed_valid_ = false;
-  uint64_t closed_version_ = 0;
-  uint64_t closed_j0_ = 0;
-  Matrix cached_result_{0, 0};  // Guarded by result_valid_.
-  bool result_valid_ = false;
-  uint64_t result_version_ = 0;
-  uint64_t result_j0_ = 0;
-  uint64_t result_next_id_ = 0;
+  // Stacked cover approximation, keyed (structure version, j0).
+  VersionedCache<std::tuple<uint64_t, uint64_t>, Matrix> cover_cache_;
+  // Final result, keyed additionally on next_id_.
+  VersionedCache<std::tuple<uint64_t, uint64_t, uint64_t>, Matrix>
+      result_cache_;
 };
 
 /// DI-FD (Section 7.3): Frequent Directions per block, sizes halving from

@@ -21,15 +21,16 @@
 //
 // Query serving: the block structure changes only at structural events
 // (block close, level merge, expiry, deserialize), tracked by a version
-// counter. The merged sketch of the in-window closed blocks is cached and
-// keyed on (version, live-block count) — under a fixed structure the live
-// set only shrinks as the window slides, so the count pins the set — and
-// the final approximation is additionally keyed on the active-block row
-// identity. A warm query is therefore an O(ell d) copy instead of an
-// O(#blocks) merge chain, bit-identical to the cold path. The cold merge
-// itself runs as a deterministic pairwise reduction tree whose pairing
-// depends only on the leaf count, so executing tree levels on the shared
-// ThreadPool is byte-identical to the serial schedule.
+// counter. The merged sketch of the in-window closed blocks is cached (a
+// VersionedCache) and keyed on (version, live-block count) — under a
+// fixed structure the live set only shrinks as the window slides, so the
+// count pins the set — and the final approximation is additionally keyed
+// on the active-block row identity. A warm query is therefore an O(ell d)
+// copy instead of an O(#blocks) merge chain, bit-identical to the cold
+// path. The cold merge itself runs as a deterministic pairwise reduction
+// tree whose pairing depends only on the leaf count, so executing tree
+// levels on the shared ThreadPool is byte-identical to the serial
+// schedule.
 //
 // SketchT requirements: constructible via the factory callable,
 // Append(span<const double>, uint64_t id), MergeWith(const SketchT&),
@@ -41,8 +42,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -57,6 +58,7 @@
 #include "util/parallel.h"
 #include "util/serialize.h"
 #include "util/status.h"
+#include "util/versioned_cache.h"
 
 namespace swsketch {
 
@@ -232,49 +234,32 @@ class LogarithmicMethod : public SlidingWindowSketch {
 
     // Final-result cache: nothing changed since the last query (same
     // structure, same live set, same active rows) — return the copy.
-    if (result_valid_ && result_version_ == structure_version_ &&
-        result_live_count_ == live_scratch_.size() &&
-        result_next_id_ == next_id_ &&
-        result_active_rows_ == active_.rows.size()) {
-      metrics_.query_cache_hits->Add();
-      return cached_result_;
-    }
-    metrics_.query_cache_misses->Add();
-
-    // Merged-blocks cache: under a fixed structure version the live set
-    // only shrinks as the window slides, so (version, count) pins it.
-    if (!cached_blocks_ || blocks_version_ != structure_version_ ||
-        blocks_live_count_ != live_scratch_.size()) {
-      metrics_.merge_cache_misses->Add();
-      cached_blocks_.emplace(MergeLiveBlocks());
-      blocks_version_ = structure_version_;
-      blocks_live_count_ = live_scratch_.size();
-    } else {
-      metrics_.merge_cache_hits->Add();
-    }
-
-    // Warm path: copy the merged closed blocks and replay the active rows
-    // — exactly the computation the cold path performs after its merge, so
-    // the result is byte-identical to an uncached query.
-    SketchT acc = *cached_blocks_;
-    for (const RawRow& rr : active_.rows) {
-      acc.Append(rr.row->view(), rr.id);
-    }
-    cached_result_ = acc.Approximation();
-    result_valid_ = true;
-    result_version_ = structure_version_;
-    result_live_count_ = live_scratch_.size();
-    result_next_id_ = next_id_;
-    result_active_rows_ = active_.rows.size();
-    return cached_result_;
+    return result_cache_.GetOrCompute(
+        {structure_version_, live_scratch_.size(), next_id_,
+         active_.rows.size()},
+        metrics_.query_cache_hits, metrics_.query_cache_misses, [&] {
+          // Merged-blocks cache: under a fixed structure version the live
+          // set only shrinks as the window slides, so (version, count)
+          // pins it.
+          SketchT acc = merge_cache_.GetOrCompute(
+              {structure_version_, live_scratch_.size()},
+              metrics_.merge_cache_hits, metrics_.merge_cache_misses,
+              [&] { return MergeLiveBlocks(); });
+          // Replay the active rows onto a copy of the merged closed blocks
+          // — exactly the computation the cold path performs after its
+          // merge, so the result is byte-identical to an uncached query.
+          for (const RawRow& rr : active_.rows) {
+            acc.Append(rr.row->view(), rr.id);
+          }
+          return acc.Approximation();
+        });
   }
 
   /// Drops the cached merged blocks and cached result so the next Query()
   /// takes the cold path (bench/test hook; behaviour is unchanged).
   void InvalidateQueryCache() {
-    cached_blocks_.reset();
-    result_valid_ = false;
-    cached_result_ = Matrix(0, dim_);
+    merge_cache_.Invalidate();
+    result_cache_.Invalidate();
   }
 
   /// Structure version: bumped whenever a block closes, merges up a level,
@@ -494,33 +479,15 @@ class LogarithmicMethod : public SlidingWindowSketch {
     metrics_.cold_merges->Add();
     const size_t m = live_scratch_.size();
     if (m == 0) return factory_();
-    std::vector<std::optional<SketchT>> nodes((m + 1) / 2);
-    ParallelFor(
-        nodes.size(),
+    return PairwiseTreeReduce<SketchT>(
+        m,
         [&](size_t p) {
           SketchT acc = live_scratch_[2 * p]->sketch;
           DetachScratch(&acc);
           if (2 * p + 1 < m) acc.MergeWith(live_scratch_[2 * p + 1]->sketch);
-          nodes[p].emplace(std::move(acc));
+          return acc;
         },
-        {.grain = 1});
-    size_t width = nodes.size();
-    while (width > 1) {
-      const size_t next = (width + 1) / 2;
-      ParallelFor(
-          next,
-          [&](size_t p) {
-            if (2 * p + 1 < width) {
-              nodes[2 * p]->MergeWith(*nodes[2 * p + 1]);
-            }
-          },
-          {.grain = 1});
-      // Compact serially: tasks above read nodes[2p + 1], which is exactly
-      // the slot a concurrent compaction of pair p' = 2p + 1 would move.
-      for (size_t p = 1; p < next; ++p) nodes[p] = std::move(nodes[2 * p]);
-      width = next;
-    }
-    return std::move(*nodes[0]);
+        [](SketchT& left, const SketchT& right) { left.MergeWith(right); });
   }
 
   static void DetachScratch(SketchT* sketch) {
@@ -589,15 +556,11 @@ class LogarithmicMethod : public SlidingWindowSketch {
   uint64_t structure_version_ = 0;
   uint64_t mutation_version_ = 0;  // Every Update/AdvanceTo/reload.
   std::vector<const Block*> live_scratch_;  // Rebuilt by every Query().
-  std::optional<SketchT> cached_blocks_;    // Merged live closed blocks.
-  uint64_t blocks_version_ = 0;
-  size_t blocks_live_count_ = 0;
-  Matrix cached_result_{0, 0};  // Guarded by result_valid_.
-  bool result_valid_ = false;
-  uint64_t result_version_ = 0;
-  size_t result_live_count_ = 0;
-  uint64_t result_next_id_ = 0;
-  size_t result_active_rows_ = 0;
+  // Merged live closed blocks, keyed (structure version, live count).
+  VersionedCache<std::tuple<uint64_t, size_t>, SketchT> merge_cache_;
+  // Final approximation, keyed additionally on the active-block rows.
+  VersionedCache<std::tuple<uint64_t, size_t, uint64_t, size_t>, Matrix>
+      result_cache_;
 };
 
 /// LM-FD: the paper's recommended general-purpose sliding-window sketch

@@ -17,10 +17,10 @@
 //    operands' shed mass, so the merged bound telescopes up the tree.
 //
 // Determinism: CombineQueryPair is a pure function of its operands, and
-// TreeReduceQueries pairs nodes by index exactly like the PR 4 LM merge
-// tree (pairing depends only on the leaf count, never on scheduling), so
-// pool execution is byte-identical to a serial left-to-right evaluation of
-// the same tree.
+// TreeReduceQueries pairs nodes by index exactly like PairwiseTreeReduce
+// (util/parallel.h), the LM merge tree (pairing depends only on the leaf
+// count, never on scheduling), so pool execution is byte-identical to a
+// serial left-to-right evaluation of the same tree.
 #ifndef SWSKETCH_CORE_MERGE_REDUCE_H_
 #define SWSKETCH_CORE_MERGE_REDUCE_H_
 

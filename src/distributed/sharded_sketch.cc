@@ -23,8 +23,7 @@ ShardedSketch::ShardedSketch(
       reduce_(reduce),
       options_(options),
       name_("SHARDED-" + shards[0]->name()),
-      metrics_(MetricScope(MetricScope::Slug(name_))),
-      cached_result_(0, dim_) {
+      metrics_(MetricScope(MetricScope::Slug(name_))) {
   SWSKETCH_CHECK_GE(options_.block_rows, 1u);
   options_.shards = shards.size();
   const MetricScope scope(MetricScope::Slug(name_));
@@ -130,11 +129,12 @@ void ShardedSketch::AdvanceTo(double now) {
 
 Matrix ShardedSketch::Query() {
   metrics_.queries->Add();
-  if (result_valid_ && result_seq_ == mutation_seq_) {
-    metrics_.query_cache_hits->Add();
-    return cached_result_;
-  }
-  metrics_.query_cache_misses->Add();
+  return result_cache_.GetOrCompute(
+      mutation_seq_, metrics_.query_cache_hits, metrics_.query_cache_misses,
+      [this] { return AlignAndReduce(); });
+}
+
+Matrix ShardedSketch::AlignAndReduce() {
   // Align the shards: staged rows out, then every shard advanced to the
   // global high-water timestamp so expiry matches the logical window (a
   // shard that happened to receive no recent rows would otherwise still
@@ -149,6 +149,7 @@ Matrix ShardedSketch::Query() {
   }
   Quiesce();
 
+  Matrix result;
   {
     ScopedTimer timer(metrics_.query_reduce_ns);
     // Writers are quiescent, so the pool tasks have exclusive use of their
@@ -159,16 +160,14 @@ Matrix ShardedSketch::Query() {
         shards_.size(),
         [&](size_t i) { parts[i] = shards_[i]->sketch->Query(); },
         {.grain = 1, .pool = options_.reduce_pool});
-    cached_result_ = TreeReduceQueries(reduce_, dim_, std::move(parts),
-                                       options_.reduce_pool);
+    result = TreeReduceQueries(reduce_, dim_, std::move(parts),
+                               options_.reduce_pool);
   }
   if (shards_.size() > 1) {
     metrics_.reduce_merges->Add(shards_.size() - 1);
   }
-  metrics_.stacked_rows->Set(static_cast<int64_t>(cached_result_.rows()));
-  result_valid_ = true;
-  result_seq_ = mutation_seq_;
-  return cached_result_;
+  metrics_.stacked_rows->Set(static_cast<int64_t>(result.rows()));
+  return result;
 }
 
 void ShardedSketch::Flush() {
@@ -184,11 +183,6 @@ size_t ShardedSketch::RowsStored() const {
          shard->stored.load(std::memory_order_relaxed);
   }
   return n;
-}
-
-void ShardedSketch::InvalidateQueryCache() {
-  result_valid_ = false;
-  cached_result_ = Matrix(0, dim_);
 }
 
 const SlidingWindowSketch& ShardedSketch::shard(size_t i) const {

@@ -54,6 +54,7 @@
 #include "core/sliding_window_sketch.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
+#include "util/versioned_cache.h"
 
 namespace swsketch {
 
@@ -126,7 +127,7 @@ class ShardedSketch : public SlidingWindowSketch {
   const WindowSpec& window() const override { return window_; }
 
   /// Drops the cached query result (bench/test hook; behaviour unchanged).
-  void InvalidateQueryCache();
+  void InvalidateQueryCache() { result_cache_.Invalidate(); }
 
   size_t num_shards() const { return shards_.size(); }
 
@@ -206,6 +207,8 @@ class ShardedSketch : public SlidingWindowSketch {
   /// Blocks until applied == enqueued on every shard (no-op when serial).
   void Quiesce() const;
   void WriterLoop(Shard* shard);
+  /// Cold Query() path: flush + align + quiesce + tree-reduce.
+  Matrix AlignAndReduce();
 
   size_t dim_;
   WindowSpec window_;
@@ -218,10 +221,8 @@ class ShardedSketch : public SlidingWindowSketch {
   double now_ = 0.0;       // Global high-water timestamp.
   uint64_t mutation_seq_ = 0;
 
-  // Query cache: valid while mutation_seq_ is unchanged.
-  Matrix cached_result_{0, 0};
-  bool result_valid_ = false;
-  uint64_t result_seq_ = 0;
+  // Query() result, keyed on mutation_seq_.
+  VersionedCache<uint64_t, Matrix> result_cache_;
 };
 
 }  // namespace swsketch

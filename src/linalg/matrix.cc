@@ -585,8 +585,12 @@ void Matrix::Serialize(ByteWriter* writer) const {
 Result<Matrix> Matrix::Deserialize(ByteReader* reader) {
   uint64_t rows = 0, cols = 0;
   std::vector<double> data;
+  // Divide before multiplying: rows * cols can wrap for a corrupt header
+  // (rows = 2^62, cols = 4 gives 0) and match an empty data vector.
   if (!reader->Get(&rows) || !reader->Get(&cols) ||
-      !reader->GetVector(&data) || data.size() != rows * cols) {
+      !reader->GetVector(&data) ||
+      (cols != 0 && rows > data.size() / cols) ||
+      data.size() != rows * cols) {
     return Status::InvalidArgument("corrupt Matrix payload");
   }
   Matrix m(rows, cols);

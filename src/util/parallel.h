@@ -18,6 +18,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -97,6 +98,37 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& body,
 void ParallelForChunks(size_t n,
                        const std::function<void(size_t, size_t)>& body,
                        const ParallelForOptions& options = {});
+
+/// Deterministic pairwise reduction tree over `leaves` >= 1 inputs. Level 0
+/// builds node p = make_node(p) from leaves 2p and 2p + 1 (the caller
+/// checks 2p + 1 < leaves); each higher level folds node 2p + 1 into node
+/// 2p with merge(Node& left, const Node& right). The pairing depends only
+/// on the leaf count and each task writes only its own node, so running a
+/// level's tasks on the shared pool is byte-identical to the serial
+/// schedule.
+template <typename Node, typename MakeNode, typename Merge>
+Node PairwiseTreeReduce(size_t leaves, MakeNode&& make_node, Merge&& merge) {
+  SWSKETCH_CHECK_GT(leaves, 0u);
+  const ParallelForOptions opts{.grain = 1};
+  std::vector<std::optional<Node>> nodes((leaves + 1) / 2);
+  ParallelFor(
+      nodes.size(), [&](size_t p) { nodes[p].emplace(make_node(p)); }, opts);
+  size_t width = nodes.size();
+  while (width > 1) {
+    const size_t next = (width + 1) / 2;
+    ParallelFor(
+        next,
+        [&](size_t p) {
+          if (2 * p + 1 < width) merge(*nodes[2 * p], *nodes[2 * p + 1]);
+        },
+        opts);
+    // Compact serially: tasks above read nodes[2p + 1], which is exactly
+    // the slot a concurrent compaction of pair p' = 2p + 1 would move.
+    for (size_t p = 1; p < next; ++p) nodes[p] = std::move(nodes[2 * p]);
+    width = next;
+  }
+  return std::move(*nodes[0]);
+}
 
 /// Bounded single-producer single-consumer hand-off queue. One coordinator
 /// thread pushes, one writer thread pops; the bound applies back-pressure

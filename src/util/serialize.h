@@ -67,7 +67,7 @@ class ByteReader {
 
   bool GetString(std::string* out) {
     uint64_t n = 0;
-    if (!Get(&n) || pos_ + n > bytes_.size()) {
+    if (!Get(&n) || n > bytes_.size() - pos_) {
       ok_ = false;
       return false;
     }
@@ -80,7 +80,9 @@ class ByteReader {
   bool GetVector(std::vector<T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
     uint64_t n = 0;
-    if (!Get(&n) || pos_ + n * sizeof(T) > bytes_.size()) {
+    // Divide rather than multiply: n * sizeof(T) and pos_ + ... can wrap
+    // for a corrupt length prefix and pass a naive bounds check.
+    if (!Get(&n) || n > (bytes_.size() - pos_) / sizeof(T)) {
       ok_ = false;
       return false;
     }

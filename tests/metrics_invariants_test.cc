@@ -3,8 +3,9 @@
 // conservation law the implementation must maintain, checked here with
 // before/after deltas against the global registry.
 //
-//   - query caches: hits + misses == queries (LM and DI), and the nested
-//     merge/cover caches account exactly for the miss path;
+//   - query caches: hits + misses == queries (LM, DI, DS-FD, AMM and
+//     ShardedSketch), and the nested merge/cover caches account exactly
+//     for the miss path;
 //   - block ledgers: closed + loaded == merges + expired + discarded +
 //     live (LM), without the merge term for DI, where `live` is the
 //     live_blocks gauge — and destruction settles the ledger to zero;
@@ -30,6 +31,7 @@
 #include "core/factory.h"
 #include "core/logarithmic_method.h"
 #include "core/swor.h"
+#include "distributed/sharded_sketch.h"
 #include "linalg/matrix.h"
 #include "service/tenant_manager.h"
 #include "sketch/frequent_directions.h"
@@ -623,6 +625,54 @@ TEST(MetricsInvariantsTest, AmmProductCacheAccountsForEveryQuery) {
     EXPECT_EQ(C("amm.product_cache_misses") - m_before, 1u)
         << "first post-load product query must be cold";
     check();
+  }
+}
+
+TEST(MetricsInvariantsTest, ShardedQueryCacheAccountsForEveryQuery) {
+  // sharded_*.queries == query_cache_hits + query_cache_misses, with hits
+  // only while mutation_seq_ is unchanged.
+  const size_t d = 6;
+  const Matrix rows = GaussianRows(200, d, 31);
+  std::vector<double> ts(rows.rows());
+  for (size_t i = 0; i < ts.size(); ++i) ts[i] = static_cast<double>(i);
+  for (const std::string algo : {"lm-fd", "di-fd"}) {
+    SCOPED_TRACE(algo);
+    SketchConfig config;
+    config.algorithm = algo;
+    config.ell = 4;
+    config.max_norm_sq = 16.0 * static_cast<double>(d);
+    ShardedSketch::Options options;
+    options.shards = 2;
+    options.block_rows = 32;
+    auto made =
+        ShardedSketch::Make(d, WindowSpec::Sequence(80), config, options);
+    ASSERT_TRUE(made.ok());
+    ShardedSketch& sharded = *made.value();
+    const std::string p = MetricScope::Slug(sharded.name()) + ".";
+    const uint64_t q0 = C(p + "queries");
+    const uint64_t h0 = C(p + "query_cache_hits");
+    const uint64_t m0 = C(p + "query_cache_misses");
+    const auto check = [&](uint64_t hits, uint64_t misses) {
+      EXPECT_EQ(C(p + "query_cache_hits") - h0, hits);
+      EXPECT_EQ(C(p + "query_cache_misses") - m0, misses);
+      ASSERT_EQ((C(p + "query_cache_hits") - h0) +
+                    (C(p + "query_cache_misses") - m0),
+                C(p + "queries") - q0);
+    };
+
+    sharded.UpdateBatch(rows, ts);
+    (void)sharded.Query();
+    check(0, 1);
+    (void)sharded.Query();  // No mutation in between: warm.
+    check(1, 1);
+    sharded.AdvanceTo(250.0);
+    (void)sharded.Query();
+    check(1, 2);
+    sharded.InvalidateQueryCache();
+    (void)sharded.Query();
+    check(1, 3);
+    (void)sharded.Query();
+    check(2, 3);
   }
 }
 

@@ -4,7 +4,8 @@
 // freshly-constructed sketch replaying the same rows, and a repeated
 // (warm) Query() must be byte-identical to the first. The structure
 // version counter is the cache key; these tests also pin that it only
-// moves at structural events.
+// moves at structural events. DS-FD and ShardedSketch key on their state
+// version instead and are checked at a fixed row interval.
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -12,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dump_snapshot.h"
 #include "core/dyadic_interval.h"
+#include "core/factory.h"
 #include "core/logarithmic_method.h"
+#include "distributed/sharded_sketch.h"
 #include "linalg/matrix.h"
 #include "util/random.h"
 #include "util/serialize.h"
@@ -41,6 +45,17 @@ TestStream MakeStream(size_t n, size_t d, uint64_t seed) {
   return s;
 }
 
+// LM/DI structure version; 0 for sketches that expose none (DS-FD), which
+// the replay check then visits at its periodic trigger only.
+template <typename SketchT>
+uint64_t StructureVersion(const SketchT& sketch) {
+  if constexpr (requires { sketch.structure_version(); }) {
+    return sketch.structure_version();
+  } else {
+    return 0;
+  }
+}
+
 // Feeds the stream row by row into a live sketch; whenever the structure
 // version moves (a block closed, merged up, or expired) — and at a coarse
 // row interval as a control — asserts that (a) the possibly-cached Query()
@@ -50,14 +65,14 @@ template <typename SketchT>
 void CheckCacheAgainstReplay(const TestStream& s,
                              const std::function<SketchT()>& make) {
   SketchT live = make();
-  uint64_t last_version = live.structure_version();
+  uint64_t last_version = StructureVersion(live);
   size_t checks = 0;
   for (size_t i = 0; i < s.rows.rows(); ++i) {
     live.Update(s.rows.Row(i), s.ts[i]);
-    const bool structural = live.structure_version() != last_version;
+    const bool structural = StructureVersion(live) != last_version;
     const bool periodic = (i + 1) % 97 == 0;
     if (!structural && !periodic) continue;
-    last_version = live.structure_version();
+    last_version = StructureVersion(live);
     ++checks;
 
     const Matrix q1 = live.Query();
@@ -152,6 +167,19 @@ TEST(QueryCacheTest, DiHashMatchesFreshReplayAtEveryEvent) {
   });
 }
 
+TEST(QueryCacheTest, DsFdMatchesFreshReplayPeriodically) {
+  // DS-FD exposes no structure version, so only the periodic trigger
+  // fires; the stream is long enough for frame cuts, snapshot dumps and
+  // expiries to fall between checks.
+  const size_t d = 16;
+  const TestStream s = MakeStream(1200, d, 12);
+  CheckCacheAgainstReplay<DsFd>(s, [d] {
+    DsFd::Options opt;
+    opt.ell = 8;
+    return DsFd(d, WindowSpec::Sequence(150), opt);
+  });
+}
+
 TEST(QueryCacheTest, InvalidateForcesByteIdenticalColdPath) {
   const size_t d = 16;
   const TestStream s = MakeStream(500, d, 9);
@@ -175,6 +203,27 @@ TEST(QueryCacheTest, InvalidateForcesByteIdenticalColdPath) {
   const Matrix di_warm = di.Query();
   di.InvalidateQueryCache();
   EXPECT_EQ(di_warm.MaxAbsDiff(di.Query()), 0.0);
+}
+
+TEST(QueryCacheTest, ShardedInvalidateForcesByteIdenticalColdPath) {
+  const size_t d = 16;
+  const TestStream s = MakeStream(500, d, 13);
+  SketchConfig config;
+  config.algorithm = "lm-fd";
+  config.ell = 8;
+  ShardedSketch::Options options;
+  options.shards = 3;
+  options.block_rows = 64;
+  auto sharded = ShardedSketch::Make(d, WindowSpec::Sequence(200), config,
+                                     options);
+  ASSERT_TRUE(sharded.ok());
+  ShardedSketch& sk = *sharded.value();
+  sk.UpdateBatch(s.rows, s.ts);
+  const Matrix cold = sk.Query();
+  const Matrix warm = sk.Query();
+  EXPECT_EQ(cold.MaxAbsDiff(warm), 0.0);
+  sk.InvalidateQueryCache();
+  EXPECT_EQ(warm.MaxAbsDiff(sk.Query()), 0.0);
 }
 
 TEST(QueryCacheTest, VersionMovesOnlyOnStructuralEvents) {

@@ -1,11 +1,17 @@
 // Round-trip tests for checkpoint/resume serialization across the stack:
 // after save + load, sketches must produce identical approximations and
 // continue identically on further updates.
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dyadic_interval.h"
+#include "core/factory.h"
 #include "core/logarithmic_method.h"
 #include "core/swor.h"
 #include "core/swr.h"
@@ -58,6 +64,64 @@ TEST(SerializeTest, TruncatedPayloadFailsCleanly) {
   EXPECT_FALSE(r2.GetVector(&v));
   EXPECT_FALSE(r2.ok());
   (void)r;
+}
+
+// A corrupt length prefix whose byte count wraps size_t must fail the
+// bounds check instead of reaching resize()/assign() with a huge size.
+TEST(SerializeTest, InflatedLengthPrefixFailsCleanly) {
+  ByteWriter w;
+  w.Put<uint64_t>(uint64_t{1} << 61);  // 2^61 doubles = 2^64 bytes = 0.
+  w.Put<uint64_t>(0);
+  {
+    ByteReader r(w.bytes());
+    std::vector<double> v;
+    EXPECT_FALSE(r.GetVector(&v));
+    EXPECT_FALSE(r.ok());
+  }
+  ByteWriter ws;
+  ws.Put<uint64_t>(std::numeric_limits<uint64_t>::max());  // pos + n wraps.
+  {
+    ByteReader r(ws.bytes());
+    std::string str;
+    EXPECT_FALSE(r.GetString(&str));
+    EXPECT_FALSE(r.ok());
+  }
+  ByteWriter wm;
+  wm.Put<uint64_t>(uint64_t{1} << 62);  // rows * cols wraps to 0.
+  wm.Put<uint64_t>(4);
+  wm.PutVector(std::vector<double>{});
+  {
+    ByteReader r(wm.bytes());
+    EXPECT_FALSE(Matrix::Deserialize(&r).ok());
+  }
+}
+
+TEST(SerializeTest, InflatedRowLengthInSketchPayloadRejected) {
+  const size_t d = 4;
+  SketchConfig config;
+  config.algorithm = "lm-fd";
+  config.ell = 8;
+  auto sketch = MakeSlidingWindowSketch(d, WindowSpec::Sequence(100), config);
+  ASSERT_TRUE(sketch.ok());
+  // Light rows stay in the active block, so the payload carries them raw,
+  // each behind a (dim) length prefix.
+  const std::vector<double> row(d, 0.3125);
+  for (int i = 0; i < 3; ++i) sketch.value()->Update(row, i);
+  ByteWriter w;
+  ASSERT_TRUE(sketch.value()->SerializeTo(&w).ok());
+  std::vector<uint8_t> bytes = w.TakeBytes();
+
+  // Locate the first raw row: its u64 length prefix followed by its values.
+  ByteWriter needle;
+  needle.PutVector(row);
+  const auto it = std::search(bytes.begin(), bytes.end(),
+                              needle.bytes().begin(), needle.bytes().end());
+  ASSERT_NE(it, bytes.end());
+  const uint64_t inflated = uint64_t{1} << 61;
+  std::memcpy(&*it, &inflated, sizeof(inflated));
+
+  ByteReader r(bytes);
+  EXPECT_FALSE(DeserializeSlidingWindowSketch(&r).ok());
 }
 
 TEST(SerializeTest, MatrixRoundTrip) {
