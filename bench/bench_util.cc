@@ -197,12 +197,20 @@ std::vector<SweepPoint> RunSweep(const Workload& workload,
         sopt.block_rows = options.shard_block_rows;
         auto r = ShardedSketch::Make(workload.dim, workload.window, config,
                                      sopt);
-        if (!r.ok()) continue;  // e.g. DI on a time window.
+        if (!r.ok()) {  // e.g. DI on a time window, or a bad flag value.
+          std::cerr << "skipping " << algo << ": " << r.status().ToString()
+                    << "\n";
+          continue;
+        }
         sketches.push_back(r.take());
       } else {
         auto r = MakeSlidingWindowSketch(workload.dim, workload.window,
                                          config);
-        if (!r.ok()) continue;  // e.g. DI on a time window.
+        if (!r.ok()) {
+          std::cerr << "skipping " << algo << ": " << r.status().ToString()
+                    << "\n";
+          continue;
+        }
         sketches.push_back(r.take());
       }
       algos.push_back(algo);

@@ -18,6 +18,11 @@ size_t LevelEll(size_t level, size_t num_levels, size_t ell_top,
 }  // namespace
 
 DiFd::DiFd(size_t dim, Options options)
+    : DiFd(dim, options, MetricSet(MetricScope(MetricScope::Slug("DI-FD"))),
+           FrequentDirections::MakeShrinkScratch()) {}
+
+DiFd::DiFd(size_t dim, Options options, const MetricSet& metrics,
+           std::shared_ptr<FdShrinkScratch> scratch)
     : DyadicInterval<FrequentDirections>(
           dim,
           DyadicIntervalOptions{.levels = options.levels,
@@ -27,33 +32,13 @@ DiFd::DiFd(size_t dim, Options options)
           // level ell): level sketches are advanced sequentially by the
           // owning thread, so the shared workspace never sees concurrent
           // shrinks.
-          [dim, options,
-           scratch = FrequentDirections::MakeShrinkScratch()](size_t level) {
-            FrequentDirections fd(
-                dim, FrequentDirections::Options{
-                         .ell = LevelEll(level, options.levels,
-                                         options.ell_top, options.ell_min),
-                         .buffer_factor = options.fd_buffer_factor});
-            fd.ShareShrinkScratch(scratch);
-            return fd;
-          },
-          "DI-FD"),
-      di_options_(options) {}
-
-DiFd::DiFd(size_t dim, Options options, const MetricSet& metrics,
-           std::shared_ptr<FdShrinkScratch> scratch)
-    : DyadicInterval<FrequentDirections>(
-          dim,
-          DyadicIntervalOptions{.levels = options.levels,
-                                .window_size = options.window_size,
-                                .max_norm_sq = options.max_norm_sq},
           [dim, options, scratch = std::move(scratch)](size_t level) {
             FrequentDirections fd(
                 dim, FrequentDirections::Options{
                          .ell = LevelEll(level, options.levels,
                                          options.ell_top, options.ell_min),
                          .buffer_factor = options.fd_buffer_factor});
-            if (scratch) fd.ShareShrinkScratch(scratch);
+            fd.ShareShrinkScratch(scratch);
             return fd;
           },
           "DI-FD", metrics),

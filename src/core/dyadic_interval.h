@@ -201,7 +201,6 @@ class DyadicInterval : public SlidingWindowSketch {
       rb = re;
       run_first_id = next_id_;
     };
-    const uint64_t row_cap = std::max<uint64_t>(1, options_.window_size / 8);
     for (size_t i = 0; i < rows.rows(); ++i) {
       SWSKETCH_CHECK_GE(ts[i], now_);
       now_ = ts[i];
@@ -222,24 +221,9 @@ class DyadicInterval : public SlidingWindowSketch {
       metrics_.rows_ingested->Add();
       level1_mass_ += w;
       ++level1_rows_;
-      if (level1_mass_ > level1_capacity_ || level1_rows_ >= row_cap) {
+      if (Level1Full()) {
         flush(i + 1);
-        level1_mass_ = 0.0;
-        level1_rows_ = 0;
-        ++closed_l1_;
-        ++structure_version_;
-        metrics_.l1_closes->Add();
-        for (size_t li = 0; li < options_.levels; ++li) {
-          const uint64_t span = 1ULL << li;
-          if (closed_l1_ % span != 0) break;
-          levels_[li].push_back(Block(std::move(actives_[li].sketch),
-                                      closed_l1_ - span, closed_l1_,
-                                      actives_[li].start_ts,
-                                      actives_[li].end_ts));
-          actives_[li] = Active{factory_(li + 1), 0.0, 0.0, false};
-          metrics_.blocks_closed->Add();
-          metrics_.live_blocks->Add(1);
-        }
+        CloseLevel1();
       }
     }
     flush(rows.rows());
@@ -268,32 +252,37 @@ class DyadicInterval : public SlidingWindowSketch {
     metrics_.rows_ingested->Add();
     level1_mass_ += w;
     ++level1_rows_;
+    if (Level1Full()) CloseLevel1();
+  }
 
-    // Close the level-1 block on mass overflow (Algorithm 7.1 line 7) or,
-    // as a safety valve when max_norm_sq grossly over-estimates the actual
-    // norms, on row-count overflow — otherwise a single level-1 block could
-    // span more than a window and the active sketch would cover expired
-    // rows. With correctly-sized R the mass rule always fires first.
+  // The level-1 block closes on mass overflow (Algorithm 7.1 line 7) or,
+  // as a safety valve when max_norm_sq grossly over-estimates the actual
+  // norms, on row-count overflow — otherwise a single level-1 block could
+  // span more than a window and the active sketch would cover expired
+  // rows. With correctly-sized R the mass rule always fires first.
+  bool Level1Full() const {
     const uint64_t row_cap = std::max<uint64_t>(1, options_.window_size / 8);
-    if (level1_mass_ > level1_capacity_ || level1_rows_ >= row_cap) {
-      level1_mass_ = 0.0;
-      level1_rows_ = 0;
-      ++closed_l1_;
-      ++structure_version_;
-      metrics_.l1_closes->Add();
-      // Algorithm 7.1 lines 7-11: close the active block at every level
-      // whose dyadic boundary aligns with the new level-1 count.
-      for (size_t li = 0; li < options_.levels; ++li) {
-        const uint64_t span = 1ULL << li;  // Level li+1 covers 2^li blocks.
-        if (closed_l1_ % span != 0) break;
-        levels_[li].push_back(Block(std::move(actives_[li].sketch),
-                                    closed_l1_ - span, closed_l1_,
-                                    actives_[li].start_ts,
-                                    actives_[li].end_ts));
-        actives_[li] = Active{factory_(li + 1), 0.0, 0.0, false};
-        metrics_.blocks_closed->Add();
-        metrics_.live_blocks->Add(1);
-      }
+    return level1_mass_ > level1_capacity_ || level1_rows_ >= row_cap;
+  }
+
+  void CloseLevel1() {
+    level1_mass_ = 0.0;
+    level1_rows_ = 0;
+    ++closed_l1_;
+    ++structure_version_;
+    metrics_.l1_closes->Add();
+    // Algorithm 7.1 lines 7-11: close the active block at every level
+    // whose dyadic boundary aligns with the new level-1 count.
+    for (size_t li = 0; li < options_.levels; ++li) {
+      const uint64_t span = 1ULL << li;  // Level li+1 covers 2^li blocks.
+      if (closed_l1_ % span != 0) break;
+      levels_[li].push_back(Block(std::move(actives_[li].sketch),
+                                  closed_l1_ - span, closed_l1_,
+                                  actives_[li].start_ts,
+                                  actives_[li].end_ts));
+      actives_[li] = Active{factory_(li + 1), 0.0, 0.0, false};
+      metrics_.blocks_closed->Add();
+      metrics_.live_blocks->Add(1);
     }
   }
 
@@ -621,10 +610,9 @@ class DiFd : public DyadicInterval<FrequentDirections> {
   DiFd(size_t dim, Options options);
 
   /// Cheap-construction path (core/factory.h SketchPrototype): shares
-  /// pre-resolved metric handles and a caller-owned shrink workspace
-  /// instead of resolving/allocating its own per instance. A null
-  /// `scratch` falls back to a private workspace. Bit-identical behaviour
-  /// to the primary constructor (the workspace never influences results).
+  /// pre-resolved metric handles and a caller-owned, non-null shrink
+  /// workspace; the primary constructor resolves its own of both and
+  /// delegates here (the workspace never influences results).
   DiFd(size_t dim, Options options, const MetricSet& metrics,
        std::shared_ptr<FdShrinkScratch> scratch);
 

@@ -1,5 +1,6 @@
 #include "core/factory.h"
 
+#include <cmath>
 #include <memory>
 #include <new>
 #include <utility>
@@ -20,23 +21,73 @@ namespace swsketch {
 
 namespace {
 
-Status RequireSequence(const WindowSpec& window, const std::string& algo) {
-  if (window.type() != WindowType::kSequence) {
-    return Status::InvalidArgument(
-        algo + " supports sequence-based windows only (Section 7)");
+// Config checks: each mirrors a constructor CHECK that a SketchConfig field
+// can reach, so a bad field comes back as InvalidArgument before anything
+// is built instead of aborting in a constructor (or at the first block
+// close). Bounds are written as !(x >= lo) so that NaN fails too. Fixed
+// messages go through one out-of-line Invalid() to keep error paths small.
+Status Invalid(const char* what) { return Status::InvalidArgument(what); }
+
+Status CheckFrobenius(const SketchConfig& c) {
+  if (!(c.frobenius_eps > 0.0 && c.frobenius_eps < 1.0)) {
+    return Invalid("frobenius_eps must be in (0, 1)");
   }
   return Status::OK();
 }
 
-// Single-operand backend an AMM name wraps at the stacked dimension, or
-// "" for names that are not AMM ("amm-exact" maps to itself: the dual-
-// buffer reference needs no underlying covariance sketch).
-std::string AmmInnerAlgorithm(const std::string& algo) {
-  if (algo == "amm-exact") return "amm-exact";
-  if (algo == "amm-co-fd") return "ds-fd";
-  if (algo == "amm-lm-fd") return "lm-fd";
-  if (algo == "amm-di-fd") return "di-fd";
-  return "";
+// `field` names the buffer-factor knob in the error message.
+Status CheckFdBuffer(double buffer_factor, const char* field) {
+  if (!(buffer_factor >= 1.0)) {
+    return Status::InvalidArgument(std::string(field) + " must be >= 1");
+  }
+  return Status::OK();
+}
+
+Status CheckFd(size_t ell, double buffer_factor, const char* field) {
+  if (ell < 2) return Invalid("FD-based sketches need ell >= 2");
+  return CheckFdBuffer(buffer_factor, field);
+}
+
+Status CheckLm(const SketchConfig& c) {
+  if (c.blocks_per_level < 2) {
+    return Invalid("blocks_per_level must be >= 2");
+  }
+  return Status::OK();
+}
+
+Status CheckDsFd(const SketchConfig& c) {
+  if (Status s = CheckFd(c.ell, c.ds_fd_buffer_factor, "ds_fd_buffer_factor");
+      !s.ok()) {
+    return s;
+  }
+  if (!(c.ds_frame_ell_factor >= 1.0)) {
+    return Invalid("ds_frame_ell_factor must be >= 1");
+  }
+  if (!(c.ds_snapshot_trunc >= 0.0)) {
+    return Invalid("ds_snapshot_trunc must be >= 0");
+  }
+  return CheckFrobenius(c);
+}
+
+// DI runs on sequence windows only (Section 7), and level i closes every
+// 2^(i-1) level-1 blocks, so at most 63 levels fit a uint64_t span.
+Status CheckDi(const WindowSpec& window, const SketchConfig& c,
+               const std::string& algo) {
+  if (window.type() != WindowType::kSequence) {
+    return Status::InvalidArgument(
+        algo + " supports sequence-based windows only (Section 7)");
+  }
+  if (c.levels < 1 || c.levels > 63) {
+    return Invalid("levels must be in [1, 63]");
+  }
+  // The level-1 block capacity N * R / 2^L must come out positive.
+  const double level1_capacity = static_cast<double>(window.extent()) *
+                                 c.max_norm_sq /
+                                 std::ldexp(1.0, static_cast<int>(c.levels));
+  if (!(level1_capacity > 0.0)) {
+    return Invalid("max_norm_sq must be positive");
+  }
+  return Status::OK();
 }
 
 // Resolves SketchConfig::amm_dim_a against the stacked dimension.
@@ -54,124 +105,21 @@ Result<size_t> ResolveAmmDimA(size_t dim, const SketchConfig& config) {
   return dim_a;
 }
 
-}  // namespace
+// Constructor argument that stands for a fresh heap sketch per instance:
+// the sketch an AmmStacked wrapper owns. Every other argument is passed
+// through unchanged.
+struct InnerSketch {
+  std::shared_ptr<const SketchPrototype> proto;
+};
 
-Result<std::unique_ptr<SlidingWindowSketch>> MakeSlidingWindowSketch(
-    size_t dim, WindowSpec window, const SketchConfig& config) {
-  if (dim == 0) return Status::InvalidArgument("dim must be positive");
-  if (config.ell == 0) return Status::InvalidArgument("ell must be positive");
-  const std::string& a = config.algorithm;
-
-  if (a == "swr") {
-    return std::unique_ptr<SlidingWindowSketch>(new SwrSketch(
-        dim, window,
-        SwrSketch::Options{.ell = config.ell,
-                           .frobenius_eps = config.frobenius_eps,
-                           .exact_frobenius = config.exact_frobenius,
-                           .seed = config.seed}));
-  }
-  if (a == "swor" || a == "swor-all") {
-    return std::unique_ptr<SlidingWindowSketch>(new SworSketch(
-        dim, window,
-        SworSketch::Options{
-            .ell = config.ell,
-            .query_mode = a == "swor-all" ? SworSketch::QueryMode::kAll
-                                          : SworSketch::QueryMode::kTopEll,
-            .frobenius_eps = config.frobenius_eps,
-            .exact_frobenius = config.exact_frobenius,
-            .seed = config.seed}));
-  }
-  if (a == "lm-fd") {
-    return std::unique_ptr<SlidingWindowSketch>(new LmFd(
-        dim, window,
-        LmFd::Options{.ell = config.ell,
-                      .blocks_per_level = config.blocks_per_level,
-                      .block_capacity = config.lm_block_capacity,
-                      .fd_buffer_factor = config.fd_buffer_factor}));
-  }
-  if (a == "ds-fd") {
-    return std::unique_ptr<SlidingWindowSketch>(new DsFd(
-        dim, window,
-        DsFd::Options{.ell = config.ell,
-                      .snapshots_per_window = config.ds_snapshots_per_window,
-                      .snapshot_trunc = config.ds_snapshot_trunc,
-                      .frame_ell_factor = config.ds_frame_ell_factor,
-                      .fd_buffer_factor = config.ds_fd_buffer_factor,
-                      .frobenius_eps = config.frobenius_eps,
-                      .exact_frobenius = config.exact_frobenius}));
-  }
-  if (a == "lm-rp") {
-    return std::unique_ptr<SlidingWindowSketch>(new LmRp(
-        dim, window,
-        LmRp::Options{.ell = config.ell,
-                      .blocks_per_level = config.blocks_per_level,
-                      .block_capacity = config.lm_block_capacity,
-                      .seed = config.seed}));
-  }
-  if (a == "lm-hash") {
-    return std::unique_ptr<SlidingWindowSketch>(new LmHash(
-        dim, window,
-        LmHash::Options{.ell = config.ell,
-                        .blocks_per_level = config.blocks_per_level,
-                        .block_capacity = config.lm_block_capacity,
-                        .seed = config.seed}));
-  }
-  if (a == "di-fd") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    return std::unique_ptr<SlidingWindowSketch>(new DiFd(
-        dim, DiFd::Options{
-                 .levels = config.levels,
-                 .window_size = static_cast<uint64_t>(window.extent()),
-                 .max_norm_sq = config.max_norm_sq,
-                 .ell_top = config.ell,
-                 .fd_buffer_factor = config.fd_buffer_factor}));
-  }
-  if (a == "di-rp") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    return std::unique_ptr<SlidingWindowSketch>(new DiRp(
-        dim, DiRp::Options{
-                 .levels = config.levels,
-                 .window_size = static_cast<uint64_t>(window.extent()),
-                 .max_norm_sq = config.max_norm_sq,
-                 .ell_top = config.ell,
-                 .seed = config.seed}));
-  }
-  if (a == "di-hash") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    return std::unique_ptr<SlidingWindowSketch>(new DiHash(
-        dim, DiHash::Options{
-                 .levels = config.levels,
-                 .window_size = static_cast<uint64_t>(window.extent()),
-                 .max_norm_sq = config.max_norm_sq,
-                 .ell_top = config.ell,
-                 .seed = config.seed}));
-  }
-  if (a == "exact") {
-    return std::unique_ptr<SlidingWindowSketch>(new ExactWindow(dim, window));
-  }
-  if (a == "best") {
-    return std::unique_ptr<SlidingWindowSketch>(
-        new BestRankK(dim, window, config.ell));
-  }
-  if (const std::string inner_algo = AmmInnerAlgorithm(a);
-      !inner_algo.empty()) {
-    auto dim_a = ResolveAmmDimA(dim, config);
-    if (!dim_a.ok()) return dim_a.status();
-    if (a == "amm-exact") {
-      return std::unique_ptr<SlidingWindowSketch>(
-          new AmmExact(*dim_a, dim - *dim_a, window));
-    }
-    SketchConfig inner_config = config;
-    inner_config.algorithm = inner_algo;
-    auto inner = MakeSlidingWindowSketch(dim, window, inner_config);
-    if (!inner.ok()) return inner.status();
-    return std::unique_ptr<SlidingWindowSketch>(
-        new AmmStacked(*dim_a, dim - *dim_a, inner.take()));
-  }
-  return Status::InvalidArgument("unknown algorithm: " + a);
+template <typename A>
+const A& Fresh(const A& arg) {
+  return arg;
 }
 
-namespace {
+std::unique_ptr<SlidingWindowSketch> Fresh(const InnerSketch& inner) {
+  return inner.proto->Construct();
+}
 
 template <typename T>
 Result<std::unique_ptr<SlidingWindowSketch>> LoadAs(ByteReader* reader) {
@@ -181,7 +129,26 @@ Result<std::unique_ptr<SlidingWindowSketch>> LoadAs(ByteReader* reader) {
       std::make_unique<T>(std::move(loaded.take())));
 }
 
+// Placement counterpart of LoadAs: deserializes T and move-constructs it
+// into caller storage. On a corrupt payload nothing is constructed.
+template <typename T>
+Result<SlidingWindowSketch*> PlacementLoad(void* mem, ByteReader* reader) {
+  auto loaded = T::Deserialize(reader);
+  if (!loaded.ok()) return loaded.status();
+  return static_cast<SlidingWindowSketch*>(
+      new (mem) T(std::move(loaded.take())));
+}
+
 }  // namespace
+
+Result<std::unique_ptr<SlidingWindowSketch>> MakeSlidingWindowSketch(
+    size_t dim, WindowSpec window, const SketchConfig& config) {
+  // A fresh prototype per sketch: its FD shrink workspace is never shared
+  // with another heap sketch (ShardedSketch drives one per writer thread).
+  auto proto = SketchPrototype::Make(dim, window, config);
+  if (!proto.ok()) return proto.status();
+  return proto->Construct();
+}
 
 Result<std::unique_ptr<SlidingWindowSketch>> DeserializeSlidingWindowSketch(
     ByteReader* reader) {
@@ -203,19 +170,25 @@ Result<std::unique_ptr<SlidingWindowSketch>> DeserializeSlidingWindowSketch(
   }
 }
 
-namespace {
-
-// Placement counterpart of LoadAs: deserializes T and move-constructs it
-// into caller storage. On a corrupt payload nothing is constructed.
-template <typename T>
-Result<SlidingWindowSketch*> PlacementLoad(void* mem, ByteReader* reader) {
-  auto loaded = T::Deserialize(reader);
-  if (!loaded.ok()) return loaded.status();
-  return static_cast<SlidingWindowSketch*>(
-      new (mem) T(std::move(loaded.take())));
+template <typename T, typename... Args>
+SketchPrototype SketchPrototype::Of(size_t dim, WindowSpec window,
+                                    Args... args) {
+  SketchPrototype proto;
+  proto.dim_ = dim;
+  proto.window_ = window;
+  proto.size_ = sizeof(T);
+  proto.align_ = alignof(T);
+  proto.construct_ = [args...](void* mem) -> SlidingWindowSketch* {
+    return new (mem) T(Fresh(args)...);
+  };
+  proto.make_ = [args...]() -> std::unique_ptr<SlidingWindowSketch> {
+    return std::make_unique<T>(Fresh(args)...);
+  };
+  if constexpr (requires { T::kSerialTag; }) {
+    proto.deserialize_ = &PlacementLoad<T>;
+  }
+  return proto;
 }
-
-}  // namespace
 
 Result<SketchPrototype> SketchPrototype::Make(size_t dim, WindowSpec window,
                                               const SketchConfig& config) {
@@ -223,229 +196,141 @@ Result<SketchPrototype> SketchPrototype::Make(size_t dim, WindowSpec window,
   if (config.ell == 0) return Status::InvalidArgument("ell must be positive");
   const std::string& a = config.algorithm;
 
-  SketchPrototype proto;
-  proto.dim_ = dim;
-  proto.window_ = window;
-
-  // Per-branch: record the instance footprint, build a construct lambda
-  // that captures everything resolved here (options struct, metric
-  // handles, shared FD scratch) by value, and point deserialize_ at the
-  // type's placement loader when the algorithm serializes.
+  // One branch per algorithm: validate the fields it reads, then resolve
+  // its options, metric handles and FD shrink workspace once. Every
+  // instance (placement or heap) is built from these same arguments.
   if (a == "swr") {
-    SwrSketch::Options options{.ell = config.ell,
-                               .frobenius_eps = config.frobenius_eps,
-                               .exact_frobenius = config.exact_frobenius,
-                               .seed = config.seed};
-    proto.size_ = sizeof(SwrSketch);
-    proto.align_ = alignof(SwrSketch);
-    proto.construct_ = [dim, window, options](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) SwrSketch(dim, window, options));
-    };
-    proto.deserialize_ = &PlacementLoad<SwrSketch>;
-    return proto;
+    if (Status s = CheckFrobenius(config); !s.ok()) return s;
+    return Of<SwrSketch>(dim, window, dim, window,
+                         SwrSketch::Options{
+                             .ell = config.ell,
+                             .frobenius_eps = config.frobenius_eps,
+                             .exact_frobenius = config.exact_frobenius,
+                             .seed = config.seed});
   }
   if (a == "swor" || a == "swor-all") {
-    SworSketch::Options options{
-        .ell = config.ell,
-        .query_mode = a == "swor-all" ? SworSketch::QueryMode::kAll
-                                      : SworSketch::QueryMode::kTopEll,
-        .frobenius_eps = config.frobenius_eps,
-        .exact_frobenius = config.exact_frobenius,
-        .seed = config.seed};
-    proto.size_ = sizeof(SworSketch);
-    proto.align_ = alignof(SworSketch);
-    proto.construct_ = [dim, window, options](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) SworSketch(dim, window, options));
-    };
-    proto.deserialize_ = &PlacementLoad<SworSketch>;
-    return proto;
+    if (Status s = CheckFrobenius(config); !s.ok()) return s;
+    return Of<SworSketch>(
+        dim, window, dim, window,
+        SworSketch::Options{
+            .ell = config.ell,
+            .query_mode = a == "swor-all" ? SworSketch::QueryMode::kAll
+                                          : SworSketch::QueryMode::kTopEll,
+            .frobenius_eps = config.frobenius_eps,
+            .exact_frobenius = config.exact_frobenius,
+            .seed = config.seed});
   }
   if (a == "lm-fd") {
-    LmFd::Options options{.ell = config.ell,
-                          .blocks_per_level = config.blocks_per_level,
-                          .block_capacity = config.lm_block_capacity,
-                          .fd_buffer_factor = config.fd_buffer_factor};
-    auto metrics =
-        std::make_shared<LogarithmicMethod<FrequentDirections>::MetricSet>(
-            MetricScope(MetricScope::Slug("LM-FD")));
-    auto scratch = FrequentDirections::MakeShrinkScratch();
-    proto.size_ = sizeof(LmFd);
-    proto.align_ = alignof(LmFd);
-    proto.construct_ = [dim, window, options, metrics, scratch](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) LmFd(dim, window, options, *metrics, scratch));
-    };
-    proto.deserialize_ = &PlacementLoad<LmFd>;
-    return proto;
+    if (Status s = CheckLm(config); !s.ok()) return s;
+    if (Status s =
+            CheckFd(config.ell, config.fd_buffer_factor, "fd_buffer_factor");
+        !s.ok()) {
+      return s;
+    }
+    return Of<LmFd>(dim, window, dim, window,
+                    LmFd::Options{.ell = config.ell,
+                                  .blocks_per_level = config.blocks_per_level,
+                                  .block_capacity = config.lm_block_capacity,
+                                  .fd_buffer_factor = config.fd_buffer_factor},
+                    LmFd::MetricSet(MetricScope(MetricScope::Slug("LM-FD"))),
+                    FrequentDirections::MakeShrinkScratch());
   }
   if (a == "ds-fd") {
-    DsFd::Options options{.ell = config.ell,
-                          .snapshots_per_window =
-                              config.ds_snapshots_per_window,
-                          .snapshot_trunc = config.ds_snapshot_trunc,
-                          .frame_ell_factor = config.ds_frame_ell_factor,
-                          .fd_buffer_factor = config.ds_fd_buffer_factor,
-                          .frobenius_eps = config.frobenius_eps,
-                          .exact_frobenius = config.exact_frobenius};
-    auto metrics = std::make_shared<DsFd::MetricSet>(
-        MetricScope(MetricScope::Slug("DS-FD")));
-    auto scratch = FrequentDirections::MakeShrinkScratch();
-    proto.size_ = sizeof(DsFd);
-    proto.align_ = alignof(DsFd);
-    proto.construct_ = [dim, window, options, metrics, scratch](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) DsFd(dim, window, options, *metrics, scratch));
-    };
-    proto.deserialize_ = &PlacementLoad<DsFd>;
-    return proto;
+    if (Status s = CheckDsFd(config); !s.ok()) return s;
+    return Of<DsFd>(
+        dim, window, dim, window,
+        DsFd::Options{.ell = config.ell,
+                      .snapshots_per_window = config.ds_snapshots_per_window,
+                      .snapshot_trunc = config.ds_snapshot_trunc,
+                      .frame_ell_factor = config.ds_frame_ell_factor,
+                      .fd_buffer_factor = config.ds_fd_buffer_factor,
+                      .frobenius_eps = config.frobenius_eps,
+                      .exact_frobenius = config.exact_frobenius},
+        DsFd::MetricSet(MetricScope(MetricScope::Slug("DS-FD"))),
+        FrequentDirections::MakeShrinkScratch());
   }
   if (a == "lm-hash") {
-    LmHash::Options options{.ell = config.ell,
-                            .blocks_per_level = config.blocks_per_level,
-                            .block_capacity = config.lm_block_capacity,
-                            .seed = config.seed};
-    auto metrics = std::make_shared<LogarithmicMethod<HashSketch>::MetricSet>(
-        MetricScope(MetricScope::Slug("LM-HASH")));
-    proto.size_ = sizeof(LmHash);
-    proto.align_ = alignof(LmHash);
-    proto.construct_ = [dim, window, options, metrics](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) LmHash(dim, window, options, *metrics));
-    };
-    proto.deserialize_ = &PlacementLoad<LmHash>;
-    return proto;
+    if (Status s = CheckLm(config); !s.ok()) return s;
+    return Of<LmHash>(
+        dim, window, dim, window,
+        LmHash::Options{.ell = config.ell,
+                        .blocks_per_level = config.blocks_per_level,
+                        .block_capacity = config.lm_block_capacity,
+                        .seed = config.seed},
+        LmHash::MetricSet(MetricScope(MetricScope::Slug("LM-HASH"))));
   }
   if (a == "lm-rp") {
-    LmRp::Options options{.ell = config.ell,
-                          .blocks_per_level = config.blocks_per_level,
-                          .block_capacity = config.lm_block_capacity,
-                          .seed = config.seed};
-    proto.size_ = sizeof(LmRp);
-    proto.align_ = alignof(LmRp);
-    proto.construct_ = [dim, window, options](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) LmRp(dim, window, options));
-    };
-    return proto;
+    if (Status s = CheckLm(config); !s.ok()) return s;
+    return Of<LmRp>(dim, window, dim, window,
+                    LmRp::Options{.ell = config.ell,
+                                  .blocks_per_level = config.blocks_per_level,
+                                  .block_capacity = config.lm_block_capacity,
+                                  .seed = config.seed});
   }
   if (a == "di-fd") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    DiFd::Options options{.levels = config.levels,
-                          .window_size =
-                              static_cast<uint64_t>(window.extent()),
-                          .max_norm_sq = config.max_norm_sq,
-                          .ell_top = config.ell,
-                          .fd_buffer_factor = config.fd_buffer_factor};
-    auto metrics =
-        std::make_shared<DyadicInterval<FrequentDirections>::MetricSet>(
-            MetricScope(MetricScope::Slug("DI-FD")));
-    auto scratch = FrequentDirections::MakeShrinkScratch();
-    proto.size_ = sizeof(DiFd);
-    proto.align_ = alignof(DiFd);
-    proto.construct_ = [dim, options, metrics, scratch](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) DiFd(dim, options, *metrics, scratch));
-    };
-    proto.deserialize_ = &PlacementLoad<DiFd>;
-    return proto;
+    // No CheckFd on ell: LevelEll clamps every level to >= 2 rows.
+    if (Status s = CheckDi(window, config, a); !s.ok()) return s;
+    if (Status s = CheckFdBuffer(config.fd_buffer_factor, "fd_buffer_factor");
+        !s.ok()) {
+      return s;
+    }
+    return Of<DiFd>(
+        dim, window, dim,
+        DiFd::Options{.levels = config.levels,
+                      .window_size = static_cast<uint64_t>(window.extent()),
+                      .max_norm_sq = config.max_norm_sq,
+                      .ell_top = config.ell,
+                      .fd_buffer_factor = config.fd_buffer_factor},
+        DiFd::MetricSet(MetricScope(MetricScope::Slug("DI-FD"))),
+        FrequentDirections::MakeShrinkScratch());
   }
   if (a == "di-rp") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    DiRp::Options options{.levels = config.levels,
-                          .window_size =
-                              static_cast<uint64_t>(window.extent()),
-                          .max_norm_sq = config.max_norm_sq,
-                          .ell_top = config.ell,
-                          .seed = config.seed};
-    proto.size_ = sizeof(DiRp);
-    proto.align_ = alignof(DiRp);
-    proto.construct_ = [dim, options](void* mem) {
-      return static_cast<SlidingWindowSketch*>(new (mem) DiRp(dim, options));
-    };
-    return proto;
+    if (Status s = CheckDi(window, config, a); !s.ok()) return s;
+    return Of<DiRp>(
+        dim, window, dim,
+        DiRp::Options{.levels = config.levels,
+                      .window_size = static_cast<uint64_t>(window.extent()),
+                      .max_norm_sq = config.max_norm_sq,
+                      .ell_top = config.ell,
+                      .seed = config.seed});
   }
   if (a == "di-hash") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    DiHash::Options options{.levels = config.levels,
-                            .window_size =
-                                static_cast<uint64_t>(window.extent()),
-                            .max_norm_sq = config.max_norm_sq,
-                            .ell_top = config.ell,
-                            .seed = config.seed};
-    proto.size_ = sizeof(DiHash);
-    proto.align_ = alignof(DiHash);
-    proto.construct_ = [dim, options](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) DiHash(dim, options));
-    };
-    return proto;
+    if (Status s = CheckDi(window, config, a); !s.ok()) return s;
+    return Of<DiHash>(
+        dim, window, dim,
+        DiHash::Options{.levels = config.levels,
+                        .window_size = static_cast<uint64_t>(window.extent()),
+                        .max_norm_sq = config.max_norm_sq,
+                        .ell_top = config.ell,
+                        .seed = config.seed});
   }
-  if (a == "exact") {
-    proto.size_ = sizeof(ExactWindow);
-    proto.align_ = alignof(ExactWindow);
-    proto.construct_ = [dim, window](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) ExactWindow(dim, window));
-    };
-    return proto;
-  }
-  if (a == "best") {
-    const size_t k = config.ell;
-    proto.size_ = sizeof(BestRankK);
-    proto.align_ = alignof(BestRankK);
-    proto.construct_ = [dim, window, k](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) BestRankK(dim, window, k));
-    };
-    return proto;
-  }
-  if (const std::string inner_algo = AmmInnerAlgorithm(a);
-      !inner_algo.empty()) {
-    auto dim_a_r = ResolveAmmDimA(dim, config);
-    if (!dim_a_r.ok()) return dim_a_r.status();
-    const size_t dim_a = *dim_a_r;
-    const size_t dim_b = dim - dim_a;
-    // The amm.* handles resolve once here; the wrapped stacked backend
-    // still resolves its own scoped handles per instance inside its
-    // constructor — same registry names, so tenants share them anyway.
-    auto metrics = std::make_shared<AmmSketch::MetricSet>(MetricScope("amm"));
-    if (a == "amm-exact") {
-      proto.size_ = sizeof(AmmExact);
-      proto.align_ = alignof(AmmExact);
-      proto.construct_ = [dim_a, dim_b, window, metrics](void* mem) {
-        return static_cast<SlidingWindowSketch*>(
-            new (mem) AmmExact(dim_a, dim_b, window, *metrics));
-      };
-      proto.deserialize_ = &PlacementLoad<AmmExact>;
-      return proto;
+  if (a == "exact") return Of<ExactWindow>(dim, window, dim, window);
+  if (a == "best") return Of<BestRankK>(dim, window, dim, window, config.ell);
+  // AMM: amm-exact keeps both operands; the stacked backends wrap a
+  // single-operand sketch at the stacked dimension.
+  const char* stacked = a == "amm-co-fd"   ? "ds-fd"
+                        : a == "amm-lm-fd" ? "lm-fd"
+                        : a == "amm-di-fd" ? "di-fd"
+                                           : nullptr;
+  if (a == "amm-exact" || stacked != nullptr) {
+    auto dim_a = ResolveAmmDimA(dim, config);
+    if (!dim_a.ok()) return dim_a.status();
+    const AmmSketch::MetricSet metrics{MetricScope("amm")};
+    if (stacked == nullptr) {
+      return Of<AmmExact>(dim, window, *dim_a, dim - *dim_a, window, metrics);
     }
-    if (inner_algo == "di-fd") {
-      if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    }
-    SketchConfig inner_config = config;
-    inner_config.algorithm = inner_algo;
-    // Probe-build one underlying sketch now so the construct lambda's
-    // CHECK can never fire: any config error surfaces here as a Status.
-    if (auto probe = MakeSlidingWindowSketch(dim, window, inner_config);
-        !probe.ok()) {
-      return probe.status();
-    }
-    proto.size_ = sizeof(AmmStacked);
-    proto.align_ = alignof(AmmStacked);
-    // The underlying sketch lives on the heap behind the slab-resident
-    // wrapper: its size varies by backend, so only the fixed-size wrapper
-    // participates in the arena slab contract.
-    proto.construct_ = [dim, dim_a, dim_b, window, inner_config,
-                        metrics](void* mem) {
-      auto inner = MakeSlidingWindowSketch(dim, window, inner_config);
-      SWSKETCH_CHECK(inner.ok());  // Validated when the prototype was made.
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) AmmStacked(dim_a, dim_b, inner.take(), *metrics));
-    };
-    proto.deserialize_ = &PlacementLoad<AmmStacked>;
-    return proto;
+    // The inner prototype validates the config; each instance then owns a
+    // fresh heap inner sketch, since its size varies by backend and only
+    // the fixed-size wrapper sits in an arena slab.
+    SketchConfig inner = config;
+    inner.algorithm = stacked;
+    auto inner_proto = Make(dim, window, inner);
+    if (!inner_proto.ok()) return inner_proto.status();
+    return Of<AmmStacked>(
+        dim, window, *dim_a, dim - *dim_a,
+        InnerSketch{std::make_shared<const SketchPrototype>(
+            inner_proto.take())},
+        metrics);
   }
   return Status::InvalidArgument("unknown algorithm: " + a);
 }

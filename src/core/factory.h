@@ -1,5 +1,7 @@
 // Name-based construction of sliding-window sketches, used by benches,
-// examples and integration tests to sweep algorithms uniformly.
+// examples and integration tests to sweep algorithms uniformly. Every
+// sketch, heap or arena, is built through SketchPrototype: one algorithm
+// dispatch that validates the SketchConfig before any constructor runs.
 #ifndef SWSKETCH_CORE_FACTORY_H_
 #define SWSKETCH_CORE_FACTORY_H_
 
@@ -84,9 +86,10 @@ struct SketchConfig {
   uint64_t seed = 1;
 };
 
-/// Builds the sketch named by `config.algorithm`, or InvalidArgument for
-/// unknown names / incompatible window types (DI requires sequence
-/// windows).
+/// Builds the sketch named by `config.algorithm` from a fresh
+/// SketchPrototype, or returns its InvalidArgument (unknown name,
+/// incompatible window type — DI requires sequence windows — or an
+/// out-of-range config field).
 Result<std::unique_ptr<SlidingWindowSketch>> MakeSlidingWindowSketch(
     size_t dim, WindowSpec window, const SketchConfig& config);
 
@@ -98,21 +101,27 @@ std::vector<std::string> KnownAlgorithms();
 Result<std::unique_ptr<SlidingWindowSketch>> DeserializeSlidingWindowSketch(
     ByteReader* reader);
 
-/// Arena-aware construction hook: resolves one SketchConfig's algorithm
-/// dispatch, window validation and metric-registry handles ONCE, then
-/// stamps instances into caller-provided storage with placement new. A
-/// multi-tenant manager constructing 100k identical sketches pays the
-/// registry mutex and name dispatch once here instead of once per tenant,
-/// and every FD-backed instance shares one shrink workspace (safe while
-/// instances are driven one at a time, which the owning manager
-/// guarantees; the workspace never influences results).
+/// The one construction path: Make() is the only place that maps an
+/// algorithm name to a sketch type, its options and its constructor
+/// arguments. It validates the config, then resolves the options, the
+/// metric-registry handles and one FD shrink workspace ONCE, and stamps
+/// instances from them either into caller-provided storage (ConstructAt,
+/// the TenantManager arena path) or on the heap (Construct;
+/// MakeSlidingWindowSketch is a one-instance prototype). A multi-tenant
+/// manager constructing 100k identical sketches pays the registry mutex
+/// and name dispatch once here instead of once per tenant.
 ///
-/// The caller owns the storage: instance_size() bytes at instance_align()
-/// alignment per instance, destruction via the virtual destructor
-/// (sketch->~SlidingWindowSketch()).
+/// Every FD-backed instance of one prototype shares its shrink workspace:
+/// safe while those instances are driven one at a time (the owning
+/// manager guarantees this; the workspace never influences results).
+///
+/// The caller owns ConstructAt storage: instance_size() bytes at
+/// instance_align() alignment per instance, destruction via the virtual
+/// destructor (sketch->~SlidingWindowSketch()).
 class SketchPrototype {
  public:
-  /// Validates dim/window/config exactly like MakeSlidingWindowSketch.
+  /// Returns InvalidArgument for unknown names, incompatible window types
+  /// and out-of-range config fields, before any constructor runs.
   static Result<SketchPrototype> Make(size_t dim, WindowSpec window,
                                       const SketchConfig& config);
 
@@ -130,6 +139,9 @@ class SketchPrototype {
   /// Placement-constructs a fresh empty sketch into `mem`.
   SlidingWindowSketch* ConstructAt(void* mem) const { return construct_(mem); }
 
+  /// Heap-constructs a fresh empty sketch (same arguments as ConstructAt).
+  std::unique_ptr<SlidingWindowSketch> Construct() const { return make_(); }
+
   /// Placement-deserializes a sketch previously written with SerializeTo
   /// into `mem`. On error nothing is constructed and `mem` stays free.
   /// Requires serializable().
@@ -141,7 +153,14 @@ class SketchPrototype {
  private:
   SketchPrototype() = default;
 
+  // The per-type recipe: footprint, placement and heap constructors over
+  // the same captured constructor arguments, and the placement loader
+  // when T serializes.
+  template <typename T, typename... Args>
+  static SketchPrototype Of(size_t dim, WindowSpec window, Args... args);
+
   std::function<SlidingWindowSketch*(void*)> construct_;
+  std::function<std::unique_ptr<SlidingWindowSketch>()> make_;
   Result<SlidingWindowSketch*> (*deserialize_)(void*, ByteReader*) = nullptr;
   size_t size_ = 0;
   size_t align_ = 0;

@@ -11,6 +11,13 @@ double ResolveCapacity(double requested, size_t ell) {
 }  // namespace
 
 LmFd::LmFd(size_t dim, WindowSpec window, Options options)
+    : LmFd(dim, window, options,
+           MetricSet(MetricScope(MetricScope::Slug("LM-FD"))),
+           FrequentDirections::MakeShrinkScratch()) {}
+
+LmFd::LmFd(size_t dim, WindowSpec window, Options options,
+           const MetricSet& metrics,
+           std::shared_ptr<FdShrinkScratch> scratch)
     : LogarithmicMethod<FrequentDirections>(
           dim, window,
           LogarithmicMethodOptions{
@@ -22,31 +29,11 @@ LmFd::LmFd(size_t dim, WindowSpec window, Options options)
           // workspace is never used concurrently and the steady state
           // allocates nothing per block.
           [dim, ell = options.ell, factor = options.fd_buffer_factor,
-           scratch = FrequentDirections::MakeShrinkScratch()] {
-            FrequentDirections fd(
-                dim, FrequentDirections::Options{.ell = ell,
-                                                 .buffer_factor = factor});
-            fd.ShareShrinkScratch(scratch);
-            return fd;
-          },
-          "LM-FD"),
-      lm_options_(options) {}
-
-LmFd::LmFd(size_t dim, WindowSpec window, Options options,
-           const MetricSet& metrics,
-           std::shared_ptr<FdShrinkScratch> scratch)
-    : LogarithmicMethod<FrequentDirections>(
-          dim, window,
-          LogarithmicMethodOptions{
-              .block_capacity =
-                  ResolveCapacity(options.block_capacity, options.ell),
-              .blocks_per_level = options.blocks_per_level},
-          [dim, ell = options.ell, factor = options.fd_buffer_factor,
            scratch = std::move(scratch)] {
             FrequentDirections fd(
                 dim, FrequentDirections::Options{.ell = ell,
                                                  .buffer_factor = factor});
-            if (scratch) fd.ShareShrinkScratch(scratch);
+            fd.ShareShrinkScratch(scratch);
             return fd;
           },
           "LM-FD", metrics),
@@ -87,17 +74,8 @@ Result<LmFd> LmFd::Deserialize(ByteReader* reader) {
 }
 
 LmHash::LmHash(size_t dim, WindowSpec window, Options options)
-    : LogarithmicMethod<HashSketch>(
-          dim, window,
-          LogarithmicMethodOptions{
-              .block_capacity =
-                  ResolveCapacity(options.block_capacity, options.ell),
-              .blocks_per_level = options.blocks_per_level},
-          [dim, ell = options.ell, seed = options.seed] {
-            return HashSketch(dim, ell, seed);
-          },
-          "LM-HASH"),
-      lm_options_(options) {}
+    : LmHash(dim, window, options,
+             MetricSet(MetricScope(MetricScope::Slug("LM-HASH")))) {}
 
 LmHash::LmHash(size_t dim, WindowSpec window, Options options,
                const MetricSet& metrics)

@@ -583,10 +583,9 @@ class LmFd : public LogarithmicMethod<FrequentDirections> {
   LmFd(size_t dim, WindowSpec window, Options options);
 
   /// Cheap-construction path (core/factory.h SketchPrototype): shares
-  /// pre-resolved metric handles and a caller-owned shrink workspace
-  /// instead of resolving/allocating its own per instance. A null
-  /// `scratch` falls back to a private workspace. Bit-identical behaviour
-  /// to the primary constructor (the workspace never influences results).
+  /// pre-resolved metric handles and a caller-owned, non-null shrink
+  /// workspace; the primary constructor resolves its own of both and
+  /// delegates here (the workspace never influences results).
   LmFd(size_t dim, WindowSpec window, Options options,
        const MetricSet& metrics, std::shared_ptr<FdShrinkScratch> scratch);
 

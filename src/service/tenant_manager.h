@@ -78,7 +78,8 @@ class TenantManager {
     std::string metrics_prefix = "tenant_manager";
   };
 
-  /// Validates the config exactly like MakeSlidingWindowSketch.
+  /// Builds one SketchPrototype for every tenant, so a bad config gets
+  /// the same InvalidArgument as MakeSlidingWindowSketch.
   static Result<std::unique_ptr<TenantManager>> Make(
       size_t dim, WindowSpec window, const SketchConfig& config,
       Options options);

@@ -8,7 +8,13 @@
 // non-serializable must say so through SerializeTo's status — the two
 // signals may never disagree, because TenantManager spills through one
 // and trusts the other.
+//
+// The same loop referees the two construction paths: a heap sketch from
+// MakeSlidingWindowSketch and a ConstructAt instance in caller storage
+// (the TenantManager slab path), fed the same stream, must agree byte for
+// byte on name(), Query() and SerializeTo().
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -21,6 +27,42 @@
 
 namespace swsketch {
 namespace {
+
+// A prototype instance placed into aligned caller storage, destroyed
+// through the virtual destructor like a TenantManager slab tenant.
+class PlacedSketch {
+ public:
+  explicit PlacedSketch(const SketchPrototype& proto)
+      : align_(std::align_val_t(proto.instance_align())),
+        mem_(::operator new(proto.instance_size(), align_)),
+        sketch_(proto.ConstructAt(mem_)) {}
+  ~PlacedSketch() {
+    sketch_->~SlidingWindowSketch();
+    ::operator delete(mem_, align_);
+  }
+  PlacedSketch(const PlacedSketch&) = delete;
+  PlacedSketch& operator=(const PlacedSketch&) = delete;
+
+  SlidingWindowSketch* get() const { return sketch_; }
+  SlidingWindowSketch* operator->() const { return sketch_; }
+
+ private:
+  std::align_val_t align_;
+  void* mem_;
+  SlidingWindowSketch* sketch_;
+};
+
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.Data().data(), b.Data().data(),
+                     a.Data().size() * sizeof(double)) == 0;
+}
+
+bool SameBytes(const ByteWriter& a, const ByteWriter& b) {
+  return a.bytes().size() == b.bytes().size() &&
+         std::memcmp(a.bytes().data(), b.bytes().data(),
+                     a.bytes().size()) == 0;
+}
 
 void IngestRows(SlidingWindowSketch* sketch, size_t n, size_t d,
                 uint64_t seed, double* t) {
@@ -49,14 +91,25 @@ TEST(FactoryRoundTripTest, EveryKnownAlgorithmRoundTripsOrDeclines) {
     auto made = MakeSlidingWindowSketch(d, window, config);
     ASSERT_TRUE(made.ok()) << made.status().ToString();
     auto& sketch = *made;
+    PlacedSketch placed(*proto);
 
     double t = 0.0;
     IngestRows(sketch.get(), 300, d, 13, &t);
+    double tp = 0.0;
+    IngestRows(placed.get(), 300, d, 13, &tp);
+    EXPECT_EQ(placed->name(), sketch->name());
 
     ByteWriter w1;
     const Status st = sketch->SerializeTo(&w1);
     ASSERT_EQ(st.ok(), proto->serializable())
         << "SketchPrototype::serializable() and SerializeTo() disagree";
+    ByteWriter wp;
+    ASSERT_EQ(placed->SerializeTo(&wp).ok(), st.ok());
+    if (st.ok()) {
+      EXPECT_TRUE(SameBytes(w1, wp)) << "heap and arena bytes differ";
+    }
+    EXPECT_TRUE(SameBytes(sketch->Query(), placed->Query()))
+        << "heap and arena answers differ";
     if (!st.ok()) continue;
     ++serializable_count;
 
