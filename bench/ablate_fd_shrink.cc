@@ -3,17 +3,12 @@
 //  1. Shrink position: the paper shrinks at sigma_{ell/2}^2 (leaving ell/2
 //     free rows); shrinking later (closer to ell) sheds less mass per step
 //     (better error) but shrinks more often (slower).
-//  2. Shrink backend x buffer factor: the Gram-eigen shrink (default)
-//     against the legacy ThinSvd shrink, each at buffer factors
-//     {1, 1.5, 2, 3}. This is the grid that picked the shipped --fd_buffer
-//     default; cells land in BENCH_ablate_fd_shrink.json for
-//     scripts/bench_diff.py.
+//  2. Buffer factor: the shrink at buffer factors {1, 1.5, 2, 3}. This is
+//     the grid that picked the shipped --fd_buffer default; cells land in
+//     BENCH_ablate_fd_shrink.json for scripts/bench_diff.py.
 //
-//  3. Eigen route x ell: the Gram-eigen shrink with the symmetric
-//     eigensolver forced to cyclic Jacobi (eigen_jacobi_cutoff = SIZE_MAX)
-//     versus tridiag QL (cutoff = 0), swept over ell in {16, 32, 48, 64}.
-//     Places the ell ~ 32 Jacobi/tridiag cutoff empirically (the ROADMAP
-//     "revisit the cutoff" item); findings in EXPERIMENTS.md.
+// The Jacobi/tridiag eigen route is measured by micro_linalg
+// (BM_JacobiEigen vs BM_TridiagEigen at n = 16..128).
 //
 //   ./ablate_fd_shrink [--ell=64] [--d=256] [--rows=20000] [--json=1]
 #include <fstream>
@@ -39,7 +34,6 @@ struct GridCell {
   double update_ns = 0.0;
   size_t max_rows_stored = 0;
   size_t rows_processed = 0;
-  size_t shrink_count = 0;
 };
 
 // Minimal cells-format emitter matching bench_util's WriteBenchJson, so
@@ -115,91 +109,41 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected: larger shrink ranks lower the error (less mass "
                "shed per\nshrink) but pay more frequent shrinks per row.\n\n";
 
-  PrintBanner(std::cout, "Ablation: shrink backend x buffer factor");
-  Table grid_table({"backend", "buffer_factor", "cova_err", "update_ns_per_row",
+  PrintBanner(std::cout, "Ablation: buffer factor");
+  Table grid_table({"buffer_factor", "cova_err", "update_ns_per_row",
                     "shrinks", "max_rows"});
   std::vector<GridCell> cells;
-  const struct {
-    FdShrinkBackend backend;
-    const char* name;
-  } kBackends[] = {{FdShrinkBackend::kGramEigen, "gram-eigen"},
-                   {FdShrinkBackend::kThinSvd, "thinsvd"}};
-  for (const auto& backend : kBackends) {
-    for (double factor : {1.0, 1.5, 2.0, 3.0}) {
-      FrequentDirections fd(
-          d, FrequentDirections::Options{.ell = ell,
-                                         .buffer_factor = factor,
-                                         .shrink_backend = backend.backend});
-      size_t max_rows = 0;
-      Timer timer;
-      for (size_t i = 0; i < rows; ++i) {
-        fd.Append(a.Row(i), i);
-        max_rows = std::max(max_rows, fd.RowsStored());
-      }
-      const double ns_per_row = static_cast<double>(timer.ElapsedNanos()) /
-                                static_cast<double>(rows);
-      const double err = CovarianceError(gram, frob_sq, fd.Approximation());
-      grid_table.AddRow(
-          {std::string(backend.name), Table::Num(factor), Table::Num(err),
-           Table::Num(ns_per_row),
-           Table::Int(static_cast<long long>(fd.shrink_count())),
-           Table::Int(static_cast<long long>(max_rows))});
-      GridCell cell;
-      // Strip the trailing .0/.5 into a stable slug: f1, f1.5, f2, f3.
-      std::string f = std::to_string(factor);
-      f.erase(f.find_last_not_of('0') + 1);
-      if (!f.empty() && f.back() == '.') f.pop_back();
-      cell.algorithm = std::string("fd-") + backend.name + "-f" + f;
-      cell.ell = ell;
-      cell.cova_err = err;
-      cell.update_ns = ns_per_row;
-      cell.max_rows_stored = max_rows;
-      cell.rows_processed = rows;
-      cell.shrink_count = fd.shrink_count();
-      cells.push_back(cell);
+  for (double factor : {1.0, 1.5, 2.0, 3.0}) {
+    FrequentDirections fd(
+        d, FrequentDirections::Options{.ell = ell, .buffer_factor = factor});
+    size_t max_rows = 0;
+    Timer timer;
+    for (size_t i = 0; i < rows; ++i) {
+      fd.Append(a.Row(i), i);
+      max_rows = std::max(max_rows, fd.RowsStored());
     }
+    const double ns_per_row = static_cast<double>(timer.ElapsedNanos()) /
+                              static_cast<double>(rows);
+    const double err = CovarianceError(gram, frob_sq, fd.Approximation());
+    grid_table.AddRow({Table::Num(factor), Table::Num(err),
+                       Table::Num(ns_per_row),
+                       Table::Int(static_cast<long long>(fd.shrink_count())),
+                       Table::Int(static_cast<long long>(max_rows))});
+    GridCell cell;
+    // Strip the trailing .0/.5 into a stable slug: f1, f1.5, f2, f3.
+    std::string f = std::to_string(factor);
+    f.erase(f.find_last_not_of('0') + 1);
+    if (!f.empty() && f.back() == '.') f.pop_back();
+    cell.algorithm = "fd-gram-eigen-f" + f;
+    cell.ell = ell;
+    cell.cova_err = err;
+    cell.update_ns = ns_per_row;
+    cell.max_rows_stored = max_rows;
+    cell.rows_processed = rows;
+    cells.push_back(cell);
   }
   grid_table.Print(std::cout);
-  std::cout << "\nThe gram-eigen backend should dominate thinsvd at every "
-               "factor (no U/V\nrecovery); the factor column picks the "
-               "--fd_buffer default.\n\n";
-
-  PrintBanner(std::cout, "Ablation: eigen route x ell (Jacobi/tridiag cutoff)");
-  Table route_table({"route", "ell", "cova_err", "update_ns_per_row",
-                     "shrinks"});
-  const struct {
-    size_t cutoff;
-    const char* name;
-  } kRoutes[] = {{static_cast<size_t>(-1), "jacobi"}, {0, "tridiag"}};
-  for (const auto& route : kRoutes) {
-    for (size_t l : {size_t{16}, size_t{32}, size_t{48}, size_t{64}}) {
-      FrequentDirections fd(
-          d, FrequentDirections::Options{.ell = l,
-                                         .eigen_jacobi_cutoff = route.cutoff});
-      Timer timer;
-      for (size_t i = 0; i < rows; ++i) fd.Append(a.Row(i), i);
-      const double ns_per_row = static_cast<double>(timer.ElapsedNanos()) /
-                                static_cast<double>(rows);
-      const double err = CovarianceError(gram, frob_sq, fd.Approximation());
-      route_table.AddRow({std::string(route.name),
-                          Table::Int(static_cast<long long>(l)),
-                          Table::Num(err), Table::Num(ns_per_row),
-                          Table::Int(static_cast<long long>(fd.shrink_count()))});
-      GridCell cell;
-      cell.algorithm = std::string("fd-eigen-") + route.name;
-      cell.ell = l;
-      cell.cova_err = err;
-      cell.update_ns = ns_per_row;
-      cell.max_rows_stored = l;
-      cell.rows_processed = rows;
-      cell.shrink_count = fd.shrink_count();
-      cells.push_back(cell);
-    }
-  }
-  route_table.Print(std::cout);
-  std::cout << "\nThe per-ell winner places SymmetricEigenSolve's "
-               "jacobi_cutoff: the\ndispatcher should switch routes where "
-               "the two update_ns columns cross.\n";
+  std::cout << "\nThe factor column picks the --fd_buffer default.\n";
   if (flags.GetBool("json", true)) {
     WriteCellsJson("BENCH_ablate_fd_shrink.json", rows, d, cells);
   }

@@ -38,24 +38,7 @@ void BM_FrequentDirectionsAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_FrequentDirectionsAppend)->Arg(16)->Arg(32)->Arg(64);
 
-// Legacy ThinSvd shrink backend, kept as the regression reference for the
-// default Gram-eigen backend measured by BM_FrequentDirectionsAppend.
-void BM_FrequentDirectionsAppendThinSvd(benchmark::State& state) {
-  const size_t ell = static_cast<size_t>(state.range(0));
-  auto rows = MakeRows(1024, 1);
-  FrequentDirections fd(
-      kDim, FrequentDirections::Options{
-                .ell = ell, .shrink_backend = FdShrinkBackend::kThinSvd});
-  size_t i = 0;
-  for (auto _ : state) {
-    fd.Append(rows[i & 1023], i);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FrequentDirectionsAppendThinSvd)->Arg(16)->Arg(32)->Arg(64);
-
-// Amortized buffering (buffer_factor = 2) on the default backend.
+// Amortized buffering (buffer_factor = 2).
 void BM_FrequentDirectionsAppendBuffered(benchmark::State& state) {
   const size_t ell = static_cast<size_t>(state.range(0));
   auto rows = MakeRows(1024, 1);

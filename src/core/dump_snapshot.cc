@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "linalg/svd.h"
 #include "linalg/tridiag_eigen.h"
 #include "linalg/vector_ops.h"
 #include "util/logging.h"
@@ -341,7 +340,7 @@ Matrix DsFd::ProjectWindow() {
     }
   }
 
-  return CompressSigned(options_.ell, 0.0);
+  return CompressSigned(options_.ell);
 }
 
 DsFd::CompressScratch& DsFd::EnsureCompress() {
@@ -349,7 +348,7 @@ DsFd::CompressScratch& DsFd::EnsureCompress() {
   return *compress_;
 }
 
-Matrix DsFd::CompressSigned(size_t max_rows, double min_eigenvalue) {
+Matrix DsFd::CompressSigned(size_t max_rows) {
   CompressScratch& s = *compress_;
   const Matrix& stack = s.stack;
   const size_t m = stack.rows();
@@ -359,17 +358,9 @@ Matrix DsFd::CompressSigned(size_t max_rows, double min_eigenvalue) {
   // A = S S^T, the m x m row-space Gram (never a d x d system).
   stack.GramOuterInto(&s.gram);
   const SymmetricEigen& ea = SymmetricEigenSolve(s.gram, &s.eigen_a);
-  // Same numerical-rank cutoff as the FD shrink, so degenerate stacks
-  // retain the same directions as the sketches they came from.
-  const double rank_tol = SvdOptions{}.rank_tol;
-  const double lmax =
-      std::max(ea.eigenvalues.empty() ? 0.0 : ea.eigenvalues[0], 0.0);
-  const double cutoff_a = rank_tol * std::max(std::sqrt(lmax), 1e-300);
-  size_t r = 0;
-  while (r < m && ea.eigenvalues[r] > 0.0 &&
-         std::sqrt(ea.eigenvalues[r]) > cutoff_a) {
-    ++r;
-  }
+  // Same numerical rank as the FD shrink, so degenerate stacks retain the
+  // same directions as the sketches they came from.
+  const size_t r = NumericalRank(ea);
   if (r == 0) return Matrix(0, dim_);
 
   // Restricted signed target M = Q (S^T J S) Q^T for the orthonormal
@@ -395,15 +386,9 @@ Matrix DsFd::CompressSigned(size_t max_rows, double min_eigenvalue) {
   }
   s.restricted.MirrorUpperToLower();
 
+  // M is indefinite; its numerical rank counts only the positive head.
   const SymmetricEigen& em = SymmetricEigenSolve(s.restricted, &s.eigen_m);
-  const double smax =
-      std::max(em.eigenvalues.empty() ? 0.0 : em.eigenvalues[0], 0.0);
-  const double cutoff_m = rank_tol * std::max(std::sqrt(smax), 1e-300);
-  size_t k = 0;
-  while (k < r && k < max_rows && em.eigenvalues[k] > min_eigenvalue &&
-         std::sqrt(std::max(em.eigenvalues[k], 0.0)) > cutoff_m) {
-    ++k;
-  }
+  const size_t k = std::min(NumericalRank(em), max_rows);
   if (k == 0) return Matrix(0, dim_);
 
   // Y = W_r^T S re-expresses the basis in R^d; output row j is

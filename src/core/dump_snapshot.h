@@ -277,8 +277,8 @@ class DsFd : public SlidingWindowSketch {
 
   // Emits the best rank-<=max_rows PSD approximation of
   // sum_a signs[a] * stack_a^T stack_a restricted to the stack's row
-  // span, dropping eigenvalues below min_eigenvalue. Deterministic.
-  Matrix CompressSigned(size_t max_rows, double min_eigenvalue);
+  // span, dropping eigenvalues past the numerical rank. Deterministic.
+  Matrix CompressSigned(size_t max_rows);
 
   size_t dim_;
   WindowSpec window_;

@@ -10,6 +10,11 @@
 namespace swsketch {
 namespace {
 
+constexpr int kMaxSweeps = 64;
+// Relative convergence: stop when the off-diagonal Frobenius norm falls
+// below kTol * ||S||_F.
+constexpr double kTol = 1e-12;
+
 // Sum of squares of strictly-upper-triangular entries.
 double OffDiagonalNormSq(const Matrix& a) {
   double s = 0.0;
@@ -22,15 +27,14 @@ double OffDiagonalNormSq(const Matrix& a) {
 
 }  // namespace
 
-SymmetricEigen JacobiEigen(const Matrix& s, const JacobiOptions& options) {
+SymmetricEigen JacobiEigen(const Matrix& s) {
   SymmetricEigenScratch scratch;
-  JacobiEigen(s, &scratch, options);
+  JacobiEigen(s, &scratch);
   return std::move(scratch.result);
 }
 
 const SymmetricEigen& JacobiEigen(const Matrix& s,
-                                  SymmetricEigenScratch* scratch,
-                                  const JacobiOptions& options) {
+                                  SymmetricEigenScratch* scratch) {
   SWSKETCH_CHECK_EQ(s.rows(), s.cols());
   const size_t n = s.rows();
 
@@ -45,9 +49,9 @@ const SymmetricEigen& JacobiEigen(const Matrix& s,
   for (size_t i = 0; i < n; ++i) v(i, i) = 1.0;
 
   const double total_norm = std::sqrt(a.FrobeniusNormSq());
-  const double stop = options.tol * std::max(total_norm, 1e-300);
+  const double stop = kTol * std::max(total_norm, 1e-300);
 
-  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     if (std::sqrt(OffDiagonalNormSq(a)) <= stop) break;
     for (size_t p = 0; p + 1 < n; ++p) {
       for (size_t q = p + 1; q < n; ++q) {

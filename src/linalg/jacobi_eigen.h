@@ -33,26 +33,19 @@ struct SymmetricEigenScratch {
   SymmetricEigen result;      // Output storage, reused across solves.
 };
 
-/// Options controlling the sweep loop.
-struct JacobiOptions {
-  int max_sweeps = 64;
-  // Stop when the off-diagonal Frobenius norm falls below
-  // tol * ||S||_F (relative convergence criterion).
-  double tol = 1e-12;
-};
-
 /// Computes the full eigendecomposition of symmetric `S`. Symmetry is
 /// enforced by averaging S and S^T before iterating, so tiny asymmetries
-/// from accumulated floating point error are tolerated.
-SymmetricEigen JacobiEigen(const Matrix& s, const JacobiOptions& options = {});
+/// from accumulated floating point error are tolerated. Sweeps stop once
+/// the off-diagonal Frobenius norm falls below 1e-12 * ||S||_F, or after
+/// 64 sweeps.
+SymmetricEigen JacobiEigen(const Matrix& s);
 
 /// Scratch-accepting variant: solves into scratch->result and returns a
 /// reference to it (valid until the scratch is reused). Allocation-free
 /// once the scratch has seen a problem of size >= s.rows(). `s` must not
 /// alias any scratch member.
 const SymmetricEigen& JacobiEigen(const Matrix& s,
-                                  SymmetricEigenScratch* scratch,
-                                  const JacobiOptions& options = {});
+                                  SymmetricEigenScratch* scratch);
 
 }  // namespace swsketch
 

@@ -9,70 +9,45 @@
 
 namespace swsketch {
 
-SvdResult ThinSvd(const Matrix& a, const SvdOptions& options) {
+SvdResult ThinSvd(const Matrix& a) {
   SvdResult out;
   if (a.empty()) return out;
   const size_t n = a.rows();
   const size_t d = a.cols();
 
-  if (n <= d) {
-    // Small side is the rows: eigendecompose A A^T.
-    const SymmetricEigen eig = SymmetricEigenSolve(a.GramOuter());
-    const double lmax = std::max(eig.eigenvalues.empty() ? 0.0
-                                                         : eig.eigenvalues[0],
-                                 0.0);
-    const double smax = std::sqrt(std::max(lmax, 0.0));
-    const double cutoff = options.rank_tol * std::max(smax, 1e-300);
-    size_t r = 0;
-    for (double l : eig.eigenvalues) {
-      if (l > 0.0 && std::sqrt(l) > cutoff) ++r;
-    }
-    out.singular_values.resize(r);
-    out.u = Matrix(n, r);
-    out.vt = Matrix(r, d);
-    for (size_t c = 0; c < r; ++c) {
-      const double sigma = std::sqrt(eig.eigenvalues[c]);
-      out.singular_values[c] = sigma;
-      for (size_t i = 0; i < n; ++i) out.u(i, c) = eig.eigenvectors(i, c);
+  // Eigendecompose the small-side Gram: A A^T when the rows are the small
+  // side (wide), A^T A otherwise (tall). Either way eigenvalue c is
+  // sigma_c^2 and its eigenvector is one factor's column c; the other
+  // factor is recovered by one product with A.
+  const bool wide = n <= d;
+  const SymmetricEigen eig =
+      SymmetricEigenSolve(wide ? a.GramOuter() : a.Gram());
+  const size_t r = NumericalRank(eig);
+  out.singular_values.resize(r);
+  out.u = Matrix(n, r);
+  out.vt = Matrix(r, d);
+  std::vector<double> ucol(n);
+  std::vector<double> vrow(d);
+  for (size_t c = 0; c < r; ++c) {
+    const double sigma = std::sqrt(eig.eigenvalues[c]);
+    out.singular_values[c] = sigma;
+    if (wide) {
       // v_c^T = (u_c^T A) / sigma.
-      std::vector<double> ucol(n);
       for (size_t i = 0; i < n; ++i) ucol[i] = eig.eigenvectors(i, c);
-      std::vector<double> vrow(d);
       a.ApplyTranspose(ucol, vrow);
       ScaleInPlace(vrow, 1.0 / sigma);
       // Re-normalize to suppress accumulated rounding in near-degenerate
       // directions.
       Normalize(vrow);
-      std::copy(vrow.begin(), vrow.end(), out.vt.RowPtr(c));
+    } else {
+      // u_c = A v_c / sigma.
+      for (size_t j = 0; j < d; ++j) vrow[j] = eig.eigenvectors(j, c);
+      a.Apply(vrow, ucol);
+      ScaleInPlace(ucol, 1.0 / sigma);
+      Normalize(ucol);
     }
-    return out;
-  }
-
-  // Tall: eigendecompose A^T A.
-  const SymmetricEigen eig = SymmetricEigenSolve(a.Gram());
-  const double lmax =
-      std::max(eig.eigenvalues.empty() ? 0.0 : eig.eigenvalues[0], 0.0);
-  const double smax = std::sqrt(std::max(lmax, 0.0));
-  const double cutoff = options.rank_tol * std::max(smax, 1e-300);
-  size_t r = 0;
-  for (double l : eig.eigenvalues) {
-    if (l > 0.0 && std::sqrt(l) > cutoff) ++r;
-  }
-  out.singular_values.resize(r);
-  out.u = Matrix(n, r);
-  out.vt = Matrix(r, d);
-  for (size_t c = 0; c < r; ++c) {
-    const double sigma = std::sqrt(eig.eigenvalues[c]);
-    out.singular_values[c] = sigma;
-    std::vector<double> vcol(d);
-    for (size_t j = 0; j < d; ++j) vcol[j] = eig.eigenvectors(j, c);
-    for (size_t j = 0; j < d; ++j) out.vt(c, j) = vcol[j];
-    // u_c = A v_c / sigma.
-    std::vector<double> ucol(n);
-    a.Apply(vcol, ucol);
-    ScaleInPlace(ucol, 1.0 / sigma);
-    Normalize(ucol);
     for (size_t i = 0; i < n; ++i) out.u(i, c) = ucol[i];
+    std::copy(vrow.begin(), vrow.end(), out.vt.RowPtr(c));
   }
   return out;
 }

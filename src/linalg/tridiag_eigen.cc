@@ -233,15 +233,24 @@ const SymmetricEigen& TridiagEigen(const Matrix& s,
   return out;
 }
 
-SymmetricEigen SymmetricEigenSolve(const Matrix& s, size_t jacobi_cutoff) {
-  return s.rows() <= jacobi_cutoff ? JacobiEigen(s) : TridiagEigen(s);
+SymmetricEigen SymmetricEigenSolve(const Matrix& s) {
+  return SolvesByJacobi(s.rows()) ? JacobiEigen(s) : TridiagEigen(s);
 }
 
 const SymmetricEigen& SymmetricEigenSolve(const Matrix& s,
-                                          SymmetricEigenScratch* scratch,
-                                          size_t jacobi_cutoff) {
-  return s.rows() <= jacobi_cutoff ? JacobiEigen(s, scratch)
-                                   : TridiagEigen(s, scratch);
+                                          SymmetricEigenScratch* scratch) {
+  return SolvesByJacobi(s.rows()) ? JacobiEigen(s, scratch)
+                                  : TridiagEigen(s, scratch);
+}
+
+size_t NumericalRank(const SymmetricEigen& eig) {
+  constexpr double kRankTol = 3e-6;
+  const std::vector<double>& ev = eig.eigenvalues;
+  const double lmax = std::max(ev.empty() ? 0.0 : ev[0], 0.0);
+  const double cutoff = kRankTol * std::max(std::sqrt(lmax), 1e-300);
+  size_t r = 0;
+  while (r < ev.size() && ev[r] > 0.0 && std::sqrt(ev[r]) > cutoff) ++r;
+  return r;
 }
 
 }  // namespace swsketch

@@ -24,16 +24,27 @@ SymmetricEigen TridiagEigen(const Matrix& s);
 const SymmetricEigen& TridiagEigen(const Matrix& s,
                                    SymmetricEigenScratch* scratch);
 
-/// Dispatching solver: Jacobi below `jacobi_cutoff` rows (more accurate on
-/// tiny systems, no allocation overhead), tridiagonal QL above.
-SymmetricEigen SymmetricEigenSolve(const Matrix& s, size_t jacobi_cutoff = 32);
+/// The eigen route rule: cyclic Jacobi on systems of at most 32 rows (more
+/// accurate on tiny systems, no allocation overhead), tridiagonal QL above.
+/// SymmetricEigenSolve dispatches on it; route counters read it.
+inline bool SolvesByJacobi(size_t rows) { return rows <= 32; }
+
+/// Dispatching solver (see SolvesByJacobi).
+SymmetricEigen SymmetricEigenSolve(const Matrix& s);
 
 /// Scratch-accepting dispatching solver (see the TridiagEigen overload for
 /// the reuse/aliasing contract). This is the entry point of the FD shrink
 /// hot path: a recycled scratch makes the whole eigensolve heap-free.
 const SymmetricEigen& SymmetricEigenSolve(const Matrix& s,
-                                          SymmetricEigenScratch* scratch,
-                                          size_t jacobi_cutoff = 32);
+                                          SymmetricEigenScratch* scratch);
+
+/// Numerical rank of a Gram spectrum: the number of leading (descending)
+/// eigenvalues lambda > 0 with sqrt(lambda) > 3e-6 * sqrt(lambda_max). The
+/// Gram route squares the condition number: eigenvalues carry ~1e-12
+/// relative noise, so their square roots carry ~1e-6; the cutoff sits
+/// above that noise floor. ThinSvd, the FD shrink and DS-FD all truncate
+/// with this one rule, so they retain the same directions.
+size_t NumericalRank(const SymmetricEigen& eig);
 
 }  // namespace swsketch
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "linalg/svd.h"
 #include "linalg/tridiag_eigen.h"
 #include "linalg/vector_ops.h"
 #include "util/logging.h"
@@ -23,7 +22,6 @@ struct FdMetrics {
   Counter* shrinks;
   Counter* shrink_route_gram_wide;
   Counter* shrink_route_gram_tall;
-  Counter* shrink_route_thinsvd;
   Counter* eigen_route_jacobi;
   Counter* eigen_route_tridiag;
   Counter* scratch_creates;
@@ -38,7 +36,6 @@ struct FdMetrics {
                        scope.counter("shrinks"),
                        scope.counter("shrink_route_gram_wide"),
                        scope.counter("shrink_route_gram_tall"),
-                       scope.counter("shrink_route_thinsvd"),
                        scope.counter("eigen_route_jacobi"),
                        scope.counter("eigen_route_tridiag"),
                        scope.counter("scratch_creates"),
@@ -166,91 +163,49 @@ void FrequentDirections::Rebuild(size_t rank, size_t max_rows) {
   const FdMetrics& metrics = FdMetrics::Get();
   metrics.shrinks->Add();
   ScopedTimer timer(metrics.shrink_ns);
-  switch (options_.shrink_backend) {
-    case FdShrinkBackend::kGramEigen:
-      RebuildFromGramEigen(rank, max_rows);
-      return;
-    case FdShrinkBackend::kThinSvd:
-      RebuildFromSvd(rank, max_rows);
-      return;
-  }
-  SWSKETCH_CHECK(false);
-}
-
-void FrequentDirections::RebuildFromSvd(size_t rank, size_t max_rows) {
-  // b_ holds exactly the occupied rows, so the SVD runs on it directly —
-  // no staging copy, and the survivors are written back in place.
-  FdMetrics::Get().shrink_route_thinsvd->Add();
-  const SvdResult svd = ThinSvd(b_);
-  ++shrink_count_;
-  const size_t r = svd.singular_values.size();
-  const double lambda =
-      rank <= r ? svd.singular_values[rank - 1] * svd.singular_values[rank - 1]
-                : 0.0;
-
-  b_.TruncateRows(0);
-  for (size_t i = 0; i < r && b_.rows() < max_rows; ++i) {
-    const double s2 = svd.singular_values[i] * svd.singular_values[i] - lambda;
-    if (s2 <= 0.0) break;  // Singular values are descending.
-    b_.AppendRowScaled(svd.vt.Row(i), std::sqrt(s2));
-  }
-  if (lambda > 0.0) {
-    // Every retained direction lost lambda, plus the zeroed tail; the FD
-    // error analysis charges lambda once per shrink against the covariance
-    // error, which is what we accumulate here.
-    shed_mass_ += lambda;
-  }
-}
-
-void FrequentDirections::RebuildFromGramEigen(size_t rank, size_t max_rows) {
-  const FdMetrics& metrics = FdMetrics::Get();
   FdShrinkScratch& s = *shrink_scratch();
   ++shrink_count_;
   const size_t n = b_.rows();
   const size_t d = dim_;
-  // Mirror SymmetricEigenSolve's dispatch rule so the route counters say
-  // which eigensolver actually ran on the small-side Gram.
-  (std::min(n, d) <= options_.eigen_jacobi_cutoff ? metrics.eigen_route_jacobi
-                                                  : metrics.eigen_route_tridiag)
+  const bool wide = n <= d;
+  (wide ? metrics.shrink_route_gram_wide : metrics.shrink_route_gram_tall)
       ->Add();
-  (n <= d ? metrics.shrink_route_gram_wide : metrics.shrink_route_gram_tall)
-      ->Add();
-  // Same numerical-rank cutoff as ThinSvd, so both backends retain the
-  // same directions on rank-deficient buffers.
-  const double rank_tol = SvdOptions{}.rank_tol;
 
-  if (n <= d) {
-    // Wide buffer (the streaming steady state): G = B B^T is n x n with
-    // n <= capacity << d. An eigenpair (lambda_i, w_i) of G gives
-    // sigma_i = sqrt(lambda_i) and right-singular direction
-    // v_i^T = (w_i^T B) / ||w_i^T B||, so the shrunk row is
+  // The spectrum step, shared by both routes. Wide buffer (the streaming
+  // steady state): G = B B^T is n x n with n <= capacity << d. Tall buffer
+  // (capacity > dim, e.g. merges at small d): G = B^T B is d x d. Either
+  // way eigenvalue i of G is sigma_i^2.
+  if (wide) {
+    b_.GramOuterInto(&s.gram);
+  } else {
+    b_.GramInto(&s.gram);
+  }
+  (SolvesByJacobi(s.gram.rows()) ? metrics.eigen_route_jacobi
+                                 : metrics.eigen_route_tridiag)
+      ->Add();
+  const SymmetricEigen& eig = SymmetricEigenSolve(s.gram, &s.eigen);
+  const size_t r = NumericalRank(eig);
+  double lambda = 0.0;
+  if (rank <= r) {
+    const double sigma = std::sqrt(eig.eigenvalues[rank - 1]);
+    lambda = sigma * sigma;
+  }
+  // Survivor count: eigenvalues are descending, so the retained rows are
+  // the prefix with sigma_i^2 > lambda, capped at max_rows.
+  size_t k = 0;
+  while (k < r && k < max_rows) {
+    const double sigma = std::sqrt(eig.eigenvalues[k]);
+    if (sigma * sigma - lambda <= 0.0) break;
+    ++k;
+  }
+
+  if (wide) {
+    // An eigenpair (sigma_i^2, w_i) of B B^T gives the right-singular
+    // direction v_i^T = (w_i^T B) / ||w_i^T B||, so the shrunk row is
     // sqrt(sigma_i^2 - lambda) * (w_i^T B) / ||w_i^T B|| — ThinSvd's wide
     // route without ever materializing U or V. All k products w_i^T B are
     // computed as one k x n by n x d multiply, which the shared pool
     // partitions by rows when large enough.
-    b_.GramOuterInto(&s.gram);
-    const SymmetricEigen& eig =
-        SymmetricEigenSolve(s.gram, &s.eigen, options_.eigen_jacobi_cutoff);
-    const double lmax =
-        std::max(eig.eigenvalues.empty() ? 0.0 : eig.eigenvalues[0], 0.0);
-    const double cutoff = rank_tol * std::max(std::sqrt(lmax), 1e-300);
-    size_t r = 0;
-    for (double l : eig.eigenvalues) {
-      if (l > 0.0 && std::sqrt(l) > cutoff) ++r;
-    }
-    double lambda = 0.0;
-    if (rank <= r) {
-      const double sigma = std::sqrt(eig.eigenvalues[rank - 1]);
-      lambda = sigma * sigma;
-    }
-    // Survivor count: eigenvalues are descending, so the retained rows are
-    // the prefix with sigma_i^2 > lambda, capped at max_rows.
-    size_t k = 0;
-    while (k < r && k < max_rows) {
-      const double sigma = std::sqrt(eig.eigenvalues[k]);
-      if (sigma * sigma - lambda <= 0.0) break;
-      ++k;
-    }
     s.lhs.ResetShape(k, n);
     for (size_t i = 0; i < k; ++i) {
       for (size_t j = 0; j < n; ++j) s.lhs(i, j) = eig.eigenvectors(j, i);
@@ -264,37 +219,22 @@ void FrequentDirections::RebuildFromGramEigen(size_t rank, size_t max_rows) {
       if (norm == 0.0) continue;  // Unreachable past the rank cutoff.
       b_.AppendRowScaled(s.product.Row(i), std::sqrt(s2) / norm);
     }
-    if (lambda > 0.0) shed_mass_ += lambda;
-    return;
+  } else {
+    // The eigenvectors of B^T B are the right-singular directions
+    // themselves, scaled by sqrt(sigma_i^2 - lambda) — ThinSvd's tall
+    // route, minus U.
+    b_.TruncateRows(0);
+    s.row_tmp.resize(d);
+    for (size_t i = 0; i < k; ++i) {
+      const double sigma = std::sqrt(eig.eigenvalues[i]);
+      const double s2 = sigma * sigma - lambda;
+      for (size_t j = 0; j < d; ++j) s.row_tmp[j] = eig.eigenvectors(j, i);
+      b_.AppendRowScaled(s.row_tmp, std::sqrt(s2));
+    }
   }
-
-  // Tall buffer (capacity > dim, e.g. merges at small d): G = B^T B is
-  // d x d and the retained rows are the eigenvectors themselves scaled by
-  // sqrt(sigma_i^2 - lambda) — ThinSvd's tall route, minus U.
-  b_.GramInto(&s.gram);
-  const SymmetricEigen& eig =
-      SymmetricEigenSolve(s.gram, &s.eigen, options_.eigen_jacobi_cutoff);
-  const double lmax =
-      std::max(eig.eigenvalues.empty() ? 0.0 : eig.eigenvalues[0], 0.0);
-  const double cutoff = rank_tol * std::max(std::sqrt(lmax), 1e-300);
-  size_t r = 0;
-  for (double l : eig.eigenvalues) {
-    if (l > 0.0 && std::sqrt(l) > cutoff) ++r;
-  }
-  double lambda = 0.0;
-  if (rank <= r) {
-    const double sigma = std::sqrt(eig.eigenvalues[rank - 1]);
-    lambda = sigma * sigma;
-  }
-  b_.TruncateRows(0);
-  s.row_tmp.resize(d);
-  for (size_t i = 0; i < r && b_.rows() < max_rows; ++i) {
-    const double sigma = std::sqrt(eig.eigenvalues[i]);
-    const double s2 = sigma * sigma - lambda;
-    if (s2 <= 0.0) break;  // Eigenvalues are descending.
-    for (size_t j = 0; j < d; ++j) s.row_tmp[j] = eig.eigenvectors(j, i);
-    b_.AppendRowScaled(s.row_tmp, std::sqrt(s2));
-  }
+  // Every retained direction lost lambda, plus the zeroed tail; the FD
+  // error analysis charges lambda once per shrink against the covariance
+  // error, which is what accumulates here.
   if (lambda > 0.0) shed_mass_ += lambda;
 }
 
@@ -347,7 +287,8 @@ Result<FrequentDirections> FrequentDirections::Deserialize(
       !reader->Get(&shrinks)) {
     return Status::InvalidArgument("corrupt FrequentDirections payload");
   }
-  if (ell < 2 || shrink_resolved < 1 || shrink_resolved > ell ||
+  if (ell < 2 || shrink_opt > ell || shrink_resolved < 1 ||
+      shrink_resolved > ell || !std::isfinite(buffer_factor) ||
       buffer_factor < 1.0) {
     return Status::InvalidArgument("invalid FrequentDirections config");
   }

@@ -7,12 +7,13 @@
 // default shrink position ell/2).
 //
 // The shrink never needs the singular vectors of B — only the shrunk
-// spectrum re-expressed in B's row space. The default backend therefore
-// eigendecomposes the small-side Gram (B B^T when B is wide, n x n with
-// n <= buffer_factor * ell << d) and rebuilds B' = D W^T B directly:
-// O(n^2 d) for the Gram and the product plus O(n^3) for the eigensolve,
-// with no U/V recovery and, via a reusable FdShrinkScratch, no heap
-// allocation in steady state.
+// spectrum re-expressed in B's row space. It therefore eigendecomposes the
+// small-side Gram (B B^T when B is wide, n x n with n <= buffer_factor *
+// ell << d) and rebuilds B' = D W^T B directly, where D = diag(sqrt(max(
+// sigma^2 - lambda, 0)) / sigma): O(n^2 d) for the Gram and the product
+// plus O(n^3) for the eigensolve, with no U/V recovery and, via a reusable
+// FdShrinkScratch, no heap allocation in steady state. The eigen route and
+// the numerical rank are linalg's (SymmetricEigenSolve, NumericalRank).
 //
 // Amortized shrinking (Desai, Ghashami, Phillips, "Improved Practical
 // Matrix Sketching with Guarantees"): with buffer_factor f > 1 the sketch
@@ -43,19 +44,6 @@
 
 namespace swsketch {
 
-/// Which decomposition backs the FD shrink.
-enum class FdShrinkBackend : uint8_t {
-  /// Gram-eigen shrink (default): eigendecompose the small-side Gram of
-  /// the buffer (B B^T, n x n with n <= buffer_factor * ell << d) and
-  /// rebuild B' = D W^T B directly, where D = diag(sqrt(max(sigma^2 -
-  /// lambda, 0)) / sigma). Never recovers U or V and never touches a d x d
-  /// system; with a recycled scratch the whole shrink is heap-free.
-  kGramEigen = 0,
-  /// Legacy full ThinSvd(B) shrink, kept as the ablation reference
-  /// (bench/ablate_fd_shrink). Same shrunk spectrum, materializes U and V.
-  kThinSvd = 1,
-};
-
 /// Reusable workspace of the Gram-eigen shrink (Gram buffer, eigensolver
 /// scratch, W^T B staging). Opaque: defined in frequent_directions.cc.
 /// One scratch may be shared by every FD instance driven from a single
@@ -77,15 +65,6 @@ class FrequentDirections : public MatrixSketch {
     /// shrinking (>= 1; 1 disables buffering). Approximation() and
     /// RowsStored() then transiently report up to that many rows.
     double buffer_factor = 1.0;
-    /// Shrink decomposition. Not serialized: a deserialized sketch uses
-    /// the default backend (the buffer contents are backend-agnostic).
-    FdShrinkBackend shrink_backend = FdShrinkBackend::kGramEigen;
-    /// Gram-eigen route selection: symmetric eigensolves on systems with
-    /// fewer rows than this use cyclic Jacobi, larger ones tridiag QL
-    /// (SymmetricEigenSolve's default cutoff). Runtime tuning only — like
-    /// shrink_backend it is not serialized; bench/ablate_fd_shrink sweeps
-    /// it to place the cutoff (0 forces tridiag, SIZE_MAX forces Jacobi).
-    size_t eigen_jacobi_cutoff = 32;
   };
 
   FrequentDirections(size_t dim, Options options);
@@ -95,7 +74,7 @@ class FrequentDirections : public MatrixSketch {
   void Append(std::span<const double> row, uint64_t id = 0) override;
 
   /// Batched append. When the buffer is at least d rows tall
-  /// (capacity >= dim, where ThinSvd cost is governed by d, not the row
+  /// (capacity >= dim, where the shrink cost is governed by d, not the row
   /// count) the whole block is appended first and a single deferred shrink
   /// restores the capacity bound — same guarantee (the one shrink sheds
   /// >= shrink_rank * lambda), measured ~9x fewer SVD milliseconds per row
@@ -154,8 +133,8 @@ class FrequentDirections : public MatrixSketch {
   void ShareShrinkScratch(std::shared_ptr<FdShrinkScratch> scratch);
 
   /// Checkpoint/resume: full sketch state (format version 2; version-1
-  /// payloads from before amortized buffering are not readable). The shrink
-  /// backend and scratch are runtime configuration and are not serialized.
+  /// payloads from before amortized buffering are not readable). The
+  /// shrink scratch is runtime state and is not serialized.
   void Serialize(ByteWriter* writer) const;
   static Result<FrequentDirections> Deserialize(ByteReader* reader);
 
@@ -165,16 +144,10 @@ class FrequentDirections : public MatrixSketch {
   void ShrinkWithRank(size_t rank);
 
   // Rebuilds b_ in place from the shrunk spectrum, keeping at most max_rows
-  // rows. Dispatches on options_.shrink_backend.
+  // rows: small-side Gram eigendecomposition, B' = D W^T B. Matches a
+  // ThinSvd-based shrink to ~ulp on the wide (rows <= dim) route: ThinSvd
+  // takes the same Gram-eigen path internally there.
   void Rebuild(size_t rank, size_t max_rows);
-
-  // Legacy backend: full ThinSvd of b_, rebuild from sigma/V.
-  void RebuildFromSvd(size_t rank, size_t max_rows);
-
-  // Default backend: small-side Gram eigendecomposition, B' = D W^T B.
-  // Numerically matches RebuildFromSvd to ~ulp on the wide (rows <= dim)
-  // route: ThinSvd takes the same Gram-eigen path internally there.
-  void RebuildFromGramEigen(size_t rank, size_t max_rows);
 
   // Lazily creates scratch_ and returns it.
   FdShrinkScratch* shrink_scratch();

@@ -256,32 +256,50 @@ TEST(MetricsInvariantsTest, DiBlockLedgerBalancesAndSettlesOnDestruction) {
 }
 
 TEST(MetricsInvariantsTest, FdShrinksFollowTheAmortizedSchedule) {
-  // Tall regime: capacity (= ell, buffer_factor 1) exceeds dim, so every
-  // shrink takes the gram_tall route, and min(n, d) = d <= the Jacobi
-  // cutoff keeps the eigensolve on the Jacobi path. Gaussian rows are
-  // full rank, so each shrink leaves exactly shrink_rank - 1 rows and the
-  // shrink count is an exact function of n.
-  const size_t d = 16;
-  const size_t ell = 32;
+  // Gaussian rows are full rank, so each shrink leaves exactly
+  // shrink_rank - 1 rows and the shrink count is an exact function of n.
+  // Two inputs cover both shrink routes and both eigen routes:
+  //  - tall: capacity (= ell, buffer_factor 1) exceeds dim, so every
+  //    shrink takes the gram_tall route on a d x d Gram small enough for
+  //    the Jacobi path;
+  //  - wide: capacity <= dim, so every shrink takes the gram_wide route on
+  //    a capacity x capacity Gram too large for Jacobi (tridiag QL).
+  const struct {
+    size_t d, ell;
+    bool wide;
+  } kInputs[] = {{16, 32, false}, {64, 40, true}};
   const size_t n = 200;
-  const Matrix rows = GaussianRows(n, d, 6);
-  const uint64_t appends0 = C("fd.appends");
-  const uint64_t shrinks0 = C("fd.shrinks");
-  const uint64_t tall0 = C("fd.shrink_route_gram_tall");
-  const uint64_t jacobi0 = C("fd.eigen_route_jacobi");
+  for (const auto& in : kInputs) {
+    SCOPED_TRACE(in.wide ? "wide" : "tall");
+    const Matrix rows = GaussianRows(n, in.d, 6);
+    const uint64_t appends0 = C("fd.appends");
+    const uint64_t shrinks0 = C("fd.shrinks");
+    const uint64_t wide0 = C("fd.shrink_route_gram_wide");
+    const uint64_t tall0 = C("fd.shrink_route_gram_tall");
+    const uint64_t jacobi0 = C("fd.eigen_route_jacobi");
+    const uint64_t tridiag0 = C("fd.eigen_route_tridiag");
 
-  FrequentDirections fd(d, ell);
-  ASSERT_GT(fd.buffer_capacity(), d);
-  for (size_t i = 0; i < n; ++i) fd.Append(rows.Row(i), i);
+    FrequentDirections fd(in.d, in.ell);
+    ASSERT_EQ(fd.buffer_capacity() <= in.d, in.wide);
+    for (size_t i = 0; i < n; ++i) fd.Append(rows.Row(i), i);
 
-  const size_t cap = fd.buffer_capacity();
-  const size_t cycle = cap - fd.shrink_rank() + 1;
-  const size_t expected = n < cap ? 0 : 1 + (n - cap) / cycle;
-  EXPECT_EQ(fd.shrink_count(), expected);
-  EXPECT_EQ(C("fd.appends") - appends0, n);
-  EXPECT_EQ(C("fd.shrinks") - shrinks0, fd.shrink_count());
-  EXPECT_EQ(C("fd.shrink_route_gram_tall") - tall0, fd.shrink_count());
-  EXPECT_EQ(C("fd.eigen_route_jacobi") - jacobi0, fd.shrink_count());
+    const size_t cap = fd.buffer_capacity();
+    const size_t cycle = cap - fd.shrink_rank() + 1;
+    const size_t expected = n < cap ? 0 : 1 + (n - cap) / cycle;
+    EXPECT_EQ(fd.shrink_count(), expected);
+    EXPECT_EQ(C("fd.appends") - appends0, n);
+    EXPECT_EQ(C("fd.shrinks") - shrinks0, fd.shrink_count());
+    const uint64_t jacobi = C("fd.eigen_route_jacobi") - jacobi0;
+    const uint64_t tridiag = C("fd.eigen_route_tridiag") - tridiag0;
+    EXPECT_EQ(jacobi + tridiag, C("fd.shrinks") - shrinks0);
+    if (in.wide) {
+      EXPECT_EQ(C("fd.shrink_route_gram_wide") - wide0, fd.shrink_count());
+      EXPECT_EQ(tridiag, fd.shrink_count());
+    } else {
+      EXPECT_EQ(C("fd.shrink_route_gram_tall") - tall0, fd.shrink_count());
+      EXPECT_EQ(jacobi, fd.shrink_count());
+    }
+  }
 }
 
 TEST(MetricsInvariantsTest, ConcurrentSnapshotPerMutation) {

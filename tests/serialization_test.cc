@@ -352,5 +352,73 @@ TEST(SerializeTest, TruncatedSketchPayloadRejected) {
   EXPECT_FALSE(FrequentDirections::Deserialize(&r).ok());
 }
 
+// A version-2 FD payload written field by field, so a test can state
+// option values no constructor would accept.
+std::vector<uint8_t> HandWrittenFdPayload(uint64_t ell, uint64_t shrink_opt,
+                                          double buffer_factor) {
+  const uint64_t dim = 4;
+  ByteWriter w;
+  WriteHeader(&w, 0x46440001, 2);
+  w.Put<uint64_t>(dim);
+  w.Put<uint64_t>(ell);
+  w.Put<uint64_t>(shrink_opt);
+  w.Put(buffer_factor);
+  w.Put<uint64_t>(2);  // Resolved shrink rank, in range.
+  w.Put<uint64_t>(0);  // Shrink count.
+  Matrix(0, dim).Serialize(&w);
+  w.Put(0.0);  // Shed mass.
+  w.Put(0.0);  // Input mass.
+  return w.TakeBytes();
+}
+
+TEST(SerializeTest, OutOfRangeFdOptionsRejected) {
+  {
+    const auto bytes = HandWrittenFdPayload(4, 2, 1.0);
+    ByteReader r(bytes);
+    EXPECT_TRUE(FrequentDirections::Deserialize(&r).ok());
+  }
+  for (const auto& bytes :
+       {HandWrittenFdPayload(4, 9, 1.0),
+        HandWrittenFdPayload(4, 2, std::numeric_limits<double>::quiet_NaN()),
+        HandWrittenFdPayload(4, 2, std::numeric_limits<double>::infinity())}) {
+    ByteReader r(bytes);
+    const auto loaded = FrequentDirections::Deserialize(&r);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(SerializeTest, OutOfRangeShrinkRankInLmFdBlobRejected) {
+  const size_t d = 4;
+  SketchConfig config;
+  config.algorithm = "lm-fd";
+  config.ell = 4;
+  auto sketch = MakeSlidingWindowSketch(d, WindowSpec::Sequence(100), config);
+  ASSERT_TRUE(sketch.ok());
+  Rng rng(11);
+  for (int i = 0; i < 60; ++i) sketch.value()->Update(RandomRow(&rng, d), i);
+  ByteWriter w;
+  ASSERT_TRUE(sketch.value()->SerializeTo(&w).ok());
+  std::vector<uint8_t> bytes = w.TakeBytes();
+
+  // The first embedded FD payload: tag, version, dim, ell, shrink option.
+  ByteWriter needle;
+  WriteHeader(&needle, 0x46440001, 2);
+  const auto it = std::search(bytes.begin(), bytes.end(),
+                              needle.bytes().begin(), needle.bytes().end());
+  ASSERT_NE(it, bytes.end());
+  const size_t ell_at = static_cast<size_t>(it - bytes.begin()) + 16;
+  uint64_t ell = 0;
+  std::memcpy(&ell, &bytes[ell_at], sizeof(ell));
+  ASSERT_EQ(ell, 4u);
+  const uint64_t shrink_opt = 9;
+  std::memcpy(&bytes[ell_at + 8], &shrink_opt, sizeof(shrink_opt));
+
+  ByteReader r(bytes);
+  const auto loaded = DeserializeSlidingWindowSketch(&r);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace swsketch

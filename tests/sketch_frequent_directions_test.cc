@@ -2,12 +2,15 @@
 // theoretical error bound and mergeability (Section 6.1).
 #include "sketch/frequent_directions.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include <gtest/gtest.h>
 
 #include "eval/cov_err.h"
 #include "linalg/power_iteration.h"
+#include "linalg/svd.h"
 #include "util/random.h"
 
 namespace swsketch {
@@ -28,6 +31,49 @@ double AbsCovErr(const Matrix& a, const Matrix& b) {
   for (size_t i = 0; i < b.rows(); ++i) diff.AddOuterProduct(b.Row(i), -1.0);
   return SpectralNormSymmetric(diff);
 }
+
+// Reference FD (buffer factor 1, paper shrink position ceil(ell / 2)) that
+// shrinks through a full ThinSvd of the buffer and rebuilds the survivors
+// from sigma and V: the textbook shrink the Gram-eigen one must match.
+class ThinSvdFd {
+ public:
+  ThinSvdFd(size_t dim, size_t ell)
+      : ell_(ell), shrink_rank_((ell + 1) / 2), b_(0, dim) {}
+
+  void Append(std::span<const double> row) {
+    if (b_.rows() == ell_) Shrink();
+    b_.AppendRow(row);
+  }
+
+  const Matrix& approximation() const { return b_; }
+  size_t shrink_count() const { return shrink_count_; }
+  double shed_mass() const { return shed_mass_; }
+
+ private:
+  void Shrink() {
+    const SvdResult svd = ThinSvd(b_);
+    ++shrink_count_;
+    const size_t r = svd.singular_values.size();
+    const double lambda = shrink_rank_ <= r
+                              ? svd.singular_values[shrink_rank_ - 1] *
+                                    svd.singular_values[shrink_rank_ - 1]
+                              : 0.0;
+    b_.TruncateRows(0);
+    for (size_t i = 0; i < r && b_.rows() < ell_; ++i) {
+      const double s2 =
+          svd.singular_values[i] * svd.singular_values[i] - lambda;
+      if (s2 <= 0.0) break;  // Singular values are descending.
+      b_.AppendRowScaled(svd.vt.Row(i), std::sqrt(s2));
+    }
+    if (lambda > 0.0) shed_mass_ += lambda;
+  }
+
+  size_t ell_;
+  size_t shrink_rank_;
+  Matrix b_;
+  size_t shrink_count_ = 0;
+  double shed_mass_ = 0.0;
+};
 
 TEST(FrequentDirectionsTest, FewRowsExact) {
   // With fewer rows than ell, no shrink happens: B^T B = A^T A exactly.
@@ -196,49 +242,41 @@ TEST(FrequentDirectionsTest, ShrinkNowCompactsBuffer) {
 TEST(FrequentDirectionsTest, GramEigenMatchesThinSvdWideRoute) {
   // The Gram-eigen shrink reproduces the ThinSvd shrink's arithmetic on
   // the wide (rows <= dim) route: same Gram, same eigensolver, same
-  // normalization — only the U/V recovery is skipped. Drive both backends
-  // through hundreds of shrinks and compare the surviving buffers.
+  // normalization — only the U/V recovery is skipped. Drive both through
+  // hundreds of shrinks and compare the surviving buffers.
   const size_t d = 64, n = 2000;
   Matrix a = RandomMatrix(n, d, 31);
-  FrequentDirections gram_eigen(
-      d, FrequentDirections::Options{
-             .ell = 16, .shrink_backend = FdShrinkBackend::kGramEigen});
-  FrequentDirections thinsvd(
-      d, FrequentDirections::Options{
-             .ell = 16, .shrink_backend = FdShrinkBackend::kThinSvd});
+  FrequentDirections gram_eigen(d, FrequentDirections::Options{.ell = 16});
+  ThinSvdFd thinsvd(d, 16);
   for (size_t i = 0; i < n; ++i) {
     gram_eigen.Append(a.Row(i), i);
-    thinsvd.Append(a.Row(i), i);
+    thinsvd.Append(a.Row(i));
   }
   EXPECT_EQ(gram_eigen.shrink_count(), thinsvd.shrink_count());
   EXPECT_NEAR(gram_eigen.shed_mass(), thinsvd.shed_mass(),
               1e-9 * thinsvd.shed_mass());
   const double err_ge = AbsCovErr(a, gram_eigen.Approximation());
-  const double err_ts = AbsCovErr(a, thinsvd.Approximation());
+  const double err_ts = AbsCovErr(a, thinsvd.approximation());
   EXPECT_NEAR(err_ge, err_ts, 1e-9 * std::max(err_ts, 1.0));
-  EXPECT_LT(gram_eigen.Approximation().MaxAbsDiff(thinsvd.Approximation()),
+  EXPECT_LT(gram_eigen.Approximation().MaxAbsDiff(thinsvd.approximation()),
             1e-7);
 }
 
 TEST(FrequentDirectionsTest, GramEigenMatchesThinSvdTallRoute) {
-  // capacity > dim forces the tall (Gram = B^T B) route in both backends.
+  // capacity > dim forces the tall (Gram = B^T B) route in both shrinks.
   const size_t d = 8, n = 400;
   Matrix a = RandomMatrix(n, d, 37);
-  FrequentDirections gram_eigen(
-      d, FrequentDirections::Options{
-             .ell = 12, .shrink_backend = FdShrinkBackend::kGramEigen});
-  FrequentDirections thinsvd(
-      d, FrequentDirections::Options{
-             .ell = 12, .shrink_backend = FdShrinkBackend::kThinSvd});
+  FrequentDirections gram_eigen(d, FrequentDirections::Options{.ell = 12});
+  ThinSvdFd thinsvd(d, 12);
   for (size_t i = 0; i < n; ++i) {
     gram_eigen.Append(a.Row(i), i);
-    thinsvd.Append(a.Row(i), i);
+    thinsvd.Append(a.Row(i));
   }
   EXPECT_EQ(gram_eigen.shrink_count(), thinsvd.shrink_count());
   const double err_ge = AbsCovErr(a, gram_eigen.Approximation());
-  const double err_ts = AbsCovErr(a, thinsvd.Approximation());
+  const double err_ts = AbsCovErr(a, thinsvd.approximation());
   EXPECT_NEAR(err_ge, err_ts, 1e-9 * std::max(err_ts, 1.0));
-  EXPECT_LT(gram_eigen.Approximation().MaxAbsDiff(thinsvd.Approximation()),
+  EXPECT_LT(gram_eigen.Approximation().MaxAbsDiff(thinsvd.approximation()),
             1e-7);
 }
 
