@@ -1,22 +1,24 @@
 // Distributed sliding-window monitoring (the paper's Section 9 future
-// work, implemented in src/distributed/), in two acts:
+// work, implemented in src/distributed/): a stream partitioned round-robin
+// across S single-writer shards fed through bounded SPSC queues, queried
+// through the shard reduce, in two acts:
 //
-//  1. DistributedSwr: a stream partitioned across k workers, each with a
-//     local SWR sketch over the same time window; a coordinator answers
-//     union-window queries by max-stable priority merging, without ever
-//     centralizing rows.
-//  2. ShardedSketch: the same partitioning idea turned into a parallel
-//     ingest engine — S single-writer LM-FD shards fed through bounded
-//     SPSC queues, queried through the deterministic mergeable
-//     tree-reduce. The demo shows that the parallel pipeline answers
-//     byte-for-byte what the serial reference execution answers.
+//  1. SWR shards: each shard samples its sub-stream over the same window,
+//     and a query merges the shards' samples by max-stable priority (per
+//     sample slot, the highest-priority candidate wins), answering with
+//     ell rows without ever centralizing rows.
+//  2. LM-FD shards: the shards' sketches combine through the deterministic
+//     mergeable FD tree-reduce.
+//
+// Each act also runs the serial reference execution of the same pipeline
+// and shows that the parallel one answers byte-for-byte the same.
 //
 //   ./distributed_monitoring [--workers=4] [--window=2000] [--ell=16]
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "distributed/distributed.h"
 #include "distributed/sharded_sketch.h"
 #include "eval/cov_err.h"
 #include "stream/window_buffer.h"
@@ -33,55 +35,14 @@ std::vector<double> GaussianRow(Rng* rng, size_t d) {
   return row;
 }
 
-void RunDistributedSwr(size_t workers, uint64_t window, size_t ell, size_t d,
-                       size_t rows) {
-  std::printf("== DistributedSwr: max-stable union sampling ==\n");
-  std::vector<std::unique_ptr<SwrSketch>> owned;
-  std::vector<SwrSketch*> ptrs;
-  for (size_t w = 0; w < workers; ++w) {
-    owned.push_back(std::make_unique<SwrSketch>(
-        d, WindowSpec::Sequence(window / workers),
-        SwrSketch::Options{.ell = ell, .seed = 100 + w}));
-    ptrs.push_back(owned.back().get());
-  }
-  DistributedSwr coordinator(ptrs);
-
-  // Ground truth for the demo only: the union window's exact Gram.
-  WindowBuffer truth(WindowSpec::Sequence(window));
-
-  Rng rng(7);
-  size_t local_clock = 0;
-  for (size_t i = 0; i < rows; ++i) {
-    const std::vector<double> row = GaussianRow(&rng, d);
-    // Round-robin partitioning: worker streams see every k-th row, so a
-    // local window of N/k rows matches the union window of N rows.
-    coordinator.Update(i % workers, row, static_cast<double>(local_clock));
-    if (i % workers == workers - 1) ++local_clock;
-    truth.Add(Row(row, static_cast<double>(i)));
-
-    if ((i + 1) % (rows / 4) == 0) {
-      Matrix b = coordinator.Query();
-      const double err = CovarianceError(truth.GramMatrix(d),
-                                         truth.FrobeniusNormSq(), b);
-      std::printf(
-          "after %6zu rows across %zu workers: union sample B has %3zu "
-          "rows, candidates stored %4zu, cova-err = %.4f\n",
-          i + 1, workers, b.rows(), coordinator.RowsStored(), err);
-    }
-  }
-
-  std::printf(
-      "k = %zu workers each kept ~%zu candidate rows; the coordinator\n"
-      "answered union-window queries without centralizing any stream "
-      "data.\n\n",
-      workers, coordinator.RowsStored() / workers);
-}
-
-void RunShardedIngest(size_t shards, uint64_t window, size_t ell, size_t d,
-                      size_t rows) {
-  std::printf("== ShardedSketch: parallel single-writer ingest ==\n");
+// Runs one act: `algorithm` sharded S ways, parallel and serial side by
+// side. Returns false if the pipeline cannot be built.
+bool RunShardedAct(const std::string& algorithm, const char* title,
+                   size_t shards, uint64_t window, size_t ell, size_t d,
+                   size_t rows) {
+  std::printf("== ShardedSketch over %s: %s ==\n", algorithm.c_str(), title);
   SketchConfig config;
-  config.algorithm = "lm-fd";
+  config.algorithm = algorithm;
   config.ell = ell;
 
   // The parallel pipeline (one writer thread per shard) and its serial
@@ -95,10 +56,13 @@ void RunShardedIngest(size_t shards, uint64_t window, size_t ell, size_t d,
   auto serial =
       ShardedSketch::Make(d, WindowSpec::Sequence(window), config, sopt);
   if (!parallel.ok() || !serial.ok()) {
-    std::printf("construction failed\n");
-    return;
+    const Status& status = (parallel.ok() ? serial : parallel).status();
+    std::fprintf(stderr, "construction failed: %s\n",
+                 status.message().c_str());
+    return false;
   }
 
+  // Ground truth for the demo only: the union window's exact Gram.
   WindowBuffer truth(WindowSpec::Sequence(window));
   Rng rng(7);
   for (size_t i = 0; i < rows; ++i) {
@@ -120,12 +84,8 @@ void RunShardedIngest(size_t shards, uint64_t window, size_t ell, size_t d,
           bp.ApproxEquals(bs, 0.0) ? "yes" : "NO");
     }
   }
-
-  std::printf(
-      "S = %zu single-writer shards ingested the stream with no shared\n"
-      "lock on the hot path; queries tree-reduce the shards "
-      "deterministically.\n",
-      shards);
+  std::printf("\n");
+  return true;
 }
 
 }  // namespace
@@ -138,7 +98,16 @@ int main(int argc, char** argv) {
   const size_t d = 32;
   const size_t rows = 20000;
 
-  RunDistributedSwr(workers, window, ell, d, rows);
-  RunShardedIngest(workers, window, ell, d, rows);
+  if (!RunShardedAct("swr", "max-stable union sampling", workers, window,
+                     ell, d, rows) ||
+      !RunShardedAct("lm-fd", "mergeable FD tree-reduce", workers, window,
+                     ell, d, rows)) {
+    return 1;
+  }
+  std::printf(
+      "S = %zu single-writer shards ingested each stream with no shared\n"
+      "lock on the hot path and answered union-window queries without\n"
+      "centralizing any stream data.\n",
+      workers);
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/factory.h"
 #include "linalg/tridiag_eigen.h"
 #include "linalg/vector_ops.h"
 #include "util/logging.h"
@@ -457,10 +458,14 @@ Result<DsFd> DsFd::Deserialize(ByteReader* reader) {
   uint8_t exact = 0;
   if (!reader->Get(&ell) || !reader->Get(&k) || !reader->Get(&trunc) ||
       !reader->Get(&fell) || !reader->Get(&factor) || !reader->Get(&eps) ||
-      !reader->Get(&exact) || ell < 2 || trunc < 0.0 || fell < 1.0 ||
-      factor < 1.0 || eps <= 0.0) {
+      !reader->Get(&exact) || ell < 2) {
     return Status::InvalidArgument("corrupt DsFd payload");
   }
+  if (Status s = CheckFdBuffer(factor, "ds_fd_buffer_factor"); !s.ok()) {
+    return s;
+  }
+  if (Status s = CheckDsFdFrame(fell, trunc); !s.ok()) return s;
+  if (Status s = CheckFrobeniusEps(eps); !s.ok()) return s;
   DsFd sketch(dim, *window,
               Options{.ell = ell, .snapshots_per_window = k,
                       .snapshot_trunc = trunc, .frame_ell_factor = fell,

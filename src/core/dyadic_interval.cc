@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/factory.h"
+
 namespace swsketch {
 
 namespace {
@@ -66,9 +68,14 @@ Result<DiFd> DiFd::Deserialize(ByteReader* reader) {
   double max_norm_sq = 0.0, fd_factor = 1.0;
   if (!reader->Get(&dim) || !reader->Get(&levels) || !reader->Get(&window) ||
       !reader->Get(&max_norm_sq) || !reader->Get(&ell_top) ||
-      !reader->Get(&ell_min) || !reader->Get(&fd_factor) || levels == 0 ||
-      window == 0 || max_norm_sq <= 0.0 || fd_factor < 1.0) {
+      !reader->Get(&ell_min) || !reader->Get(&fd_factor) || window == 0) {
     return Status::InvalidArgument("corrupt DiFd payload");
+  }
+  if (Status s = CheckDiLevels(window, levels, max_norm_sq); !s.ok()) {
+    return s;
+  }
+  if (Status s = CheckFdBuffer(fd_factor, "fd_buffer_factor"); !s.ok()) {
+    return s;
   }
   DiFd sketch(dim, Options{.levels = levels, .window_size = window,
                            .max_norm_sq = max_norm_sq, .ell_top = ell_top,

@@ -28,21 +28,6 @@ namespace {
 // messages go through one out-of-line Invalid() to keep error paths small.
 Status Invalid(const char* what) { return Status::InvalidArgument(what); }
 
-Status CheckFrobenius(const SketchConfig& c) {
-  if (!(c.frobenius_eps > 0.0 && c.frobenius_eps < 1.0)) {
-    return Invalid("frobenius_eps must be in (0, 1)");
-  }
-  return Status::OK();
-}
-
-// `field` names the buffer-factor knob in the error message.
-Status CheckFdBuffer(double buffer_factor, const char* field) {
-  if (!(buffer_factor >= 1.0)) {
-    return Status::InvalidArgument(std::string(field) + " must be >= 1");
-  }
-  return Status::OK();
-}
-
 Status CheckFd(size_t ell, double buffer_factor, const char* field) {
   if (ell < 2) return Invalid("FD-based sketches need ell >= 2");
   return CheckFdBuffer(buffer_factor, field);
@@ -60,34 +45,22 @@ Status CheckDsFd(const SketchConfig& c) {
       !s.ok()) {
     return s;
   }
-  if (!(c.ds_frame_ell_factor >= 1.0)) {
-    return Invalid("ds_frame_ell_factor must be >= 1");
+  if (Status s = CheckDsFdFrame(c.ds_frame_ell_factor, c.ds_snapshot_trunc);
+      !s.ok()) {
+    return s;
   }
-  if (!(c.ds_snapshot_trunc >= 0.0)) {
-    return Invalid("ds_snapshot_trunc must be >= 0");
-  }
-  return CheckFrobenius(c);
+  return CheckFrobeniusEps(c.frobenius_eps);
 }
 
-// DI runs on sequence windows only (Section 7), and level i closes every
-// 2^(i-1) level-1 blocks, so at most 63 levels fit a uint64_t span.
+// DI runs on sequence windows only (Section 7).
 Status CheckDi(const WindowSpec& window, const SketchConfig& c,
                const std::string& algo) {
   if (window.type() != WindowType::kSequence) {
     return Status::InvalidArgument(
         algo + " supports sequence-based windows only (Section 7)");
   }
-  if (c.levels < 1 || c.levels > 63) {
-    return Invalid("levels must be in [1, 63]");
-  }
-  // The level-1 block capacity N * R / 2^L must come out positive.
-  const double level1_capacity = static_cast<double>(window.extent()) *
-                                 c.max_norm_sq /
-                                 std::ldexp(1.0, static_cast<int>(c.levels));
-  if (!(level1_capacity > 0.0)) {
-    return Invalid("max_norm_sq must be positive");
-  }
-  return Status::OK();
+  return CheckDiLevels(static_cast<uint64_t>(window.extent()), c.levels,
+                       c.max_norm_sq);
 }
 
 // Resolves SketchConfig::amm_dim_a against the stacked dimension.
@@ -140,6 +113,47 @@ Result<SlidingWindowSketch*> PlacementLoad(void* mem, ByteReader* reader) {
 }
 
 }  // namespace
+
+Status CheckFrobeniusEps(double frobenius_eps) {
+  if (!(frobenius_eps > 0.0 && frobenius_eps < 1.0)) {
+    return Invalid("frobenius_eps must be in (0, 1)");
+  }
+  return Status::OK();
+}
+
+Status CheckFdBuffer(double buffer_factor, const char* field) {
+  if (!(buffer_factor >= 1.0)) {
+    return Status::InvalidArgument(std::string(field) + " must be >= 1");
+  }
+  return Status::OK();
+}
+
+Status CheckDsFdFrame(double frame_ell_factor, double snapshot_trunc) {
+  if (!(frame_ell_factor >= 1.0)) {
+    return Invalid("ds_frame_ell_factor must be >= 1");
+  }
+  if (!(snapshot_trunc >= 0.0)) {
+    return Invalid("ds_snapshot_trunc must be >= 0");
+  }
+  return Status::OK();
+}
+
+// Level i closes every 2^(i-1) level-1 blocks, so at most 63 levels fit a
+// uint64_t span.
+Status CheckDiLevels(uint64_t window_size, uint64_t levels,
+                     double max_norm_sq) {
+  if (levels < 1 || levels > 63) {
+    return Invalid("levels must be in [1, 63]");
+  }
+  // The level-1 block capacity N * R / 2^L must come out positive.
+  const double level1_capacity = static_cast<double>(window_size) *
+                                 max_norm_sq /
+                                 std::ldexp(1.0, static_cast<int>(levels));
+  if (!(level1_capacity > 0.0)) {
+    return Invalid("max_norm_sq must be positive");
+  }
+  return Status::OK();
+}
 
 Result<std::unique_ptr<SlidingWindowSketch>> MakeSlidingWindowSketch(
     size_t dim, WindowSpec window, const SketchConfig& config) {
@@ -200,7 +214,9 @@ Result<SketchPrototype> SketchPrototype::Make(size_t dim, WindowSpec window,
   // its options, metric handles and FD shrink workspace once. Every
   // instance (placement or heap) is built from these same arguments.
   if (a == "swr") {
-    if (Status s = CheckFrobenius(config); !s.ok()) return s;
+    if (Status s = CheckFrobeniusEps(config.frobenius_eps); !s.ok()) {
+      return s;
+    }
     return Of<SwrSketch>(dim, window, dim, window,
                          SwrSketch::Options{
                              .ell = config.ell,
@@ -209,7 +225,9 @@ Result<SketchPrototype> SketchPrototype::Make(size_t dim, WindowSpec window,
                              .seed = config.seed});
   }
   if (a == "swor" || a == "swor-all") {
-    if (Status s = CheckFrobenius(config); !s.ok()) return s;
+    if (Status s = CheckFrobeniusEps(config.frobenius_eps); !s.ok()) {
+      return s;
+    }
     return Of<SworSketch>(
         dim, window, dim, window,
         SworSketch::Options{

@@ -101,6 +101,17 @@ std::vector<std::string> KnownAlgorithms();
 Result<std::unique_ptr<SlidingWindowSketch>> DeserializeSlidingWindowSketch(
     ByteReader* reader);
 
+/// Config bounds shared by SketchPrototype::Make and the sketch
+/// deserializers, so a field read off the wire meets the same bound as the
+/// SketchConfig field it came from. Each returns InvalidArgument for a
+/// value that would reach a constructor CHECK; NaN fails every bound.
+/// `field` names the buffer-factor knob in the error message.
+Status CheckFrobeniusEps(double frobenius_eps);
+Status CheckFdBuffer(double buffer_factor, const char* field);
+Status CheckDsFdFrame(double frame_ell_factor, double snapshot_trunc);
+Status CheckDiLevels(uint64_t window_size, uint64_t levels,
+                     double max_norm_sq);
+
 /// The one construction path: Make() is the only place that maps an
 /// algorithm name to a sketch type, its options and its constructor
 /// arguments. It validates the config, then resolves the options, the

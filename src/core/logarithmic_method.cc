@@ -1,5 +1,7 @@
 #include "core/logarithmic_method.h"
 
+#include "core/factory.h"
+
 namespace swsketch {
 
 namespace {
@@ -62,8 +64,11 @@ Result<LmFd> LmFd::Deserialize(ByteReader* reader) {
   auto window = WindowSpec::Deserialize(reader);
   if (!window.ok()) return window.status();
   if (!reader->Get(&ell) || !reader->Get(&b) || !reader->Get(&capacity) ||
-      !reader->Get(&fd_factor) || ell < 2 || b < 2 || fd_factor < 1.0) {
+      !reader->Get(&fd_factor) || ell < 2 || b < 2) {
     return Status::InvalidArgument("corrupt LmFd payload");
+  }
+  if (Status s = CheckFdBuffer(fd_factor, "fd_buffer_factor"); !s.ok()) {
+    return s;
   }
   LmFd sketch(dim, *window,
               Options{.ell = ell, .blocks_per_level = b,

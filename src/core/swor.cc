@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/factory.h"
 #include "sketch/priority_sampler.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -224,6 +225,7 @@ Result<SworSketch> SworSketch::Deserialize(ByteReader* reader) {
       !reader->Get(&seed) || ell == 0) {
     return Status::InvalidArgument("corrupt SworSketch payload");
   }
+  if (Status s = CheckFrobeniusEps(options.frobenius_eps); !s.ok()) return s;
   options.ell = ell;
   options.query_mode = all ? QueryMode::kAll : QueryMode::kTopEll;
   options.exact_frobenius = exact != 0;

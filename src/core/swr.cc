@@ -3,6 +3,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "core/factory.h"
 #include "sketch/priority_sampler.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -227,6 +228,7 @@ Result<SwrSketch> SwrSketch::Deserialize(ByteReader* reader) {
       !reader->Get(&exact) || !reader->Get(&seed) || ell == 0) {
     return Status::InvalidArgument("corrupt SwrSketch payload");
   }
+  if (Status s = CheckFrobeniusEps(options.frobenius_eps); !s.ok()) return s;
   options.ell = ell;
   options.exact_frobenius = exact != 0;
   options.seed = seed;

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/swr.h"
 #include "util/logging.h"
 
 namespace swsketch {
@@ -37,6 +38,14 @@ ShardedSketch::ShardedSketch(
     shard->queue_depth = scope.gauge("queue_depth." + suffix);
     shard->occupancy = scope.gauge("occupancy." + suffix);
     shards_.push_back(std::move(shard));
+  }
+  if (reduce_.kind == QueryReduceKind::kPriorityUnion) {
+    for (const auto& shard : shards_) {
+      auto* swr = dynamic_cast<SwrSketch*>(shard->sketch.get());
+      SWSKETCH_CHECK(swr != nullptr);
+      swr_shards_.push_back(swr);
+      SWSKETCH_CHECK_EQ(swr->ell(), swr_shards_[0]->ell());
+    }
   }
   if (options_.parallel) {
     for (auto& shard : shards_) {
@@ -152,16 +161,21 @@ Matrix ShardedSketch::AlignAndReduce() {
   Matrix result;
   {
     ScopedTimer timer(metrics_.query_reduce_ns);
-    // Writers are quiescent, so the pool tasks have exclusive use of their
-    // shard; each writes only parts[i] (ParallelFor determinism contract),
-    // and the reduce tree's pair order is fixed by the shard count.
-    std::vector<Matrix> parts(shards_.size(), Matrix(0, dim_));
-    ParallelFor(
-        shards_.size(),
-        [&](size_t i) { parts[i] = shards_[i]->sketch->Query(); },
-        {.grain = 1, .pool = options_.reduce_pool});
-    result = TreeReduceQueries(reduce_, dim_, std::move(parts),
-                               options_.reduce_pool);
+    if (reduce_.kind == QueryReduceKind::kPriorityUnion) {
+      result = PriorityUnionQuery(swr_shards_);
+    } else {
+      // Writers are quiescent, so the pool tasks have exclusive use of
+      // their shard; each writes only parts[i] (ParallelFor determinism
+      // contract), and the reduce tree's pair order is fixed by the shard
+      // count.
+      std::vector<Matrix> parts(shards_.size(), Matrix(0, dim_));
+      ParallelFor(
+          shards_.size(),
+          [&](size_t i) { parts[i] = shards_[i]->sketch->Query(); },
+          {.grain = 1, .pool = options_.reduce_pool});
+      result = TreeReduceQueries(reduce_, dim_, std::move(parts),
+                                 options_.reduce_pool);
+    }
   }
   if (shards_.size() > 1) {
     metrics_.reduce_merges->Add(shards_.size() - 1);

@@ -25,7 +25,8 @@
 //    either way, and deterministic backends make shard state a pure
 //    function of that sequence;
 //  * the query reduce is TreeReduceQueries' fixed pair-order tree, so pool
-//    scheduling cannot reorder a single floating-point operation;
+//    scheduling cannot reorder a single floating-point operation (SWR's
+//    priority union runs serially on the coordinator in shard order);
 //  * with one shard the reduce is the identity and Options::parallel makes
 //    no observable difference, so an S=1 ShardedSketch is byte-equal to
 //    the plain sketch it wraps.
@@ -81,7 +82,8 @@ class ShardedSketch : public SlidingWindowSketch {
   };
 
   /// Takes ownership of the shard sketches (all must share dim and
-  /// window). `reduce` says how per-shard query results combine.
+  /// window). `reduce` says how per-shard query results combine;
+  /// kPriorityUnion requires SwrSketch shards with one ell.
   ShardedSketch(std::vector<std::unique_ptr<SlidingWindowSketch>> shards,
                 QueryReduceSpec reduce, Options options);
 
@@ -217,6 +219,8 @@ class ShardedSketch : public SlidingWindowSketch {
   std::string name_;
   MetricSet metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // kPriorityUnion only: the shards, typed once at construction.
+  std::vector<SwrSketch*> swr_shards_;
   size_t rr_ = 0;          // Next shard in the round-robin rotation.
   double now_ = 0.0;       // Global high-water timestamp.
   uint64_t mutation_seq_ = 0;

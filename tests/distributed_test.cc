@@ -1,14 +1,17 @@
 // Tests for the distributed sketching extension (Section 9 future work):
 // mergeable FD across workers, stacked window queries, and max-stable
-// distributed SWR.
-#include "distributed/distributed.h"
-
+// distributed SWR served by ShardedSketch's priority-union reduce.
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/factory.h"
+#include "core/merge_reduce.h"
+#include "core/swr.h"
+#include "distributed/sharded_sketch.h"
 #include "eval/cov_err.h"
+#include "sketch/frequent_directions.h"
 #include "stream/window_buffer.h"
 #include "util/random.h"
 
@@ -19,6 +22,22 @@ std::vector<double> RandomRow(Rng* rng, size_t d) {
   std::vector<double> r(d);
   for (auto& v : r) v = rng->Gaussian();
   return r;
+}
+
+// Sharded SWR: S shards, round-robin routing, exact Frobenius trackers.
+std::unique_ptr<ShardedSketch> MakeShardedSwr(size_t d, WindowSpec window,
+                                              size_t ell, size_t shards,
+                                              uint64_t seed) {
+  SketchConfig config;
+  config.algorithm = "swr";
+  config.ell = ell;
+  config.exact_frobenius = true;
+  config.seed = seed;
+  ShardedSketch::Options options;
+  options.shards = shards;
+  auto r = ShardedSketch::Make(d, window, config, options);
+  EXPECT_TRUE(r.ok()) << r.status().message();
+  return r.ok() ? r.take() : nullptr;
 }
 
 TEST(DistributedFdTest, MergedSketchCoversUnion) {
@@ -32,9 +51,8 @@ TEST(DistributedFdTest, MergedSketchCoversUnion) {
     fds[i % workers].Append(row, i);
     all.AppendRow(row);
   }
-  std::vector<const FrequentDirections*> ptrs;
-  for (auto& f : fds) ptrs.push_back(&f);
-  FrequentDirections merged = MergeFrequentDirections(ptrs);
+  FrequentDirections merged(d, ell);
+  for (const FrequentDirections& f : fds) merged.MergeWith(f);
   EXPECT_LE(merged.RowsStored(), ell);
   // Error within the merged certificate and the paper-style bound.
   const double err = CovarianceErrorDense(all, merged.Approximation());
@@ -46,14 +64,12 @@ TEST(DistributedFdTest, SingleWorkerIsIdentity) {
   Rng rng(2);
   FrequentDirections fd(8, 6);
   for (int i = 0; i < 100; ++i) fd.Append(RandomRow(&rng, 8), i);
-  const FrequentDirections* ptr = &fd;
-  FrequentDirections merged =
-      MergeFrequentDirections(std::span<const FrequentDirections* const>(
-          &ptr, 1));
+  FrequentDirections merged(8, 6);
+  merged.MergeWith(fd);
   EXPECT_TRUE(merged.Approximation().ApproxEquals(fd.Approximation(), 1e-12));
 }
 
-TEST(MergeWindowQueriesTest, StackedQueriesApproximateUnionWindow) {
+TEST(StackedQueriesTest, StackedQueriesApproximateUnionWindow) {
   // Two workers, each with an LM-FD over its sub-stream; stacking their B's
   // approximates the union window by decomposability.
   const size_t d = 10;
@@ -71,83 +87,63 @@ TEST(MergeWindowQueriesTest, StackedQueriesApproximateUnionWindow) {
     ((i % 2) ? *s1 : *s2)->Update(row, static_cast<double>(i / 2));
     union_buffer.Add(Row(row, i));
   }
-  std::vector<SlidingWindowSketch*> ptrs{s1->get(), s2->get()};
-  const Matrix b = MergeWindowQueries(ptrs);
+  std::vector<Matrix> parts;
+  parts.push_back(s1.value()->Query());
+  parts.push_back(s2.value()->Query());
+  const Matrix b = TreeReduceQueries({QueryReduceKind::kStack, 0}, d,
+                                     std::move(parts), nullptr);
   const double err = CovarianceError(union_buffer.GramMatrix(d),
                                      union_buffer.FrobeniusNormSq(), b);
   EXPECT_LT(err, 0.4);
 }
 
-TEST(DistributedSwrTest, QueryMatchesStructure) {
+TEST(ShardedSwrTest, QueryMatchesStructure) {
   const size_t d = 6, ell = 8, workers = 3;
-  std::vector<std::unique_ptr<SwrSketch>> owned;
-  std::vector<SwrSketch*> ptrs;
-  for (size_t w = 0; w < workers; ++w) {
-    owned.push_back(std::make_unique<SwrSketch>(
-        d, WindowSpec::Sequence(200),
-        SwrSketch::Options{.ell = ell, .exact_frobenius = true,
-                           .seed = 100 + w}));
-    ptrs.push_back(owned.back().get());
-  }
-  DistributedSwr coordinator(ptrs);
+  auto sharded =
+      MakeShardedSwr(d, WindowSpec::Sequence(600), ell, workers, 100);
+  ASSERT_TRUE(sharded);
   Rng rng(4);
-  for (int i = 0; i < 900; ++i) {
-    coordinator.Update(i % workers, RandomRow(&rng, d), i / workers);
-  }
-  Matrix b = coordinator.Query();
+  for (int i = 0; i < 900; ++i) sharded->Update(RandomRow(&rng, d), i);
+  Matrix b = sharded->Query();
   EXPECT_EQ(b.rows(), ell);  // One union sample per slot.
-  EXPECT_GT(coordinator.RowsStored(), ell);
-  EXPECT_EQ(coordinator.num_workers(), workers);
+  EXPECT_GT(sharded->RowsStored(), ell);
+  EXPECT_EQ(sharded->num_shards(), workers);
 }
 
-TEST(DistributedSwrTest, FrobeniusOfUnionPreserved) {
+TEST(ShardedSwrTest, FrobeniusOfUnionPreserved) {
   // With exact trackers, sum over sampled ||b_i||^2 = union ||A||_F^2.
   const size_t d = 5, ell = 10;
-  std::vector<std::unique_ptr<SwrSketch>> owned;
-  std::vector<SwrSketch*> ptrs;
-  for (size_t w = 0; w < 2; ++w) {
-    owned.push_back(std::make_unique<SwrSketch>(
-        d, WindowSpec::Sequence(100),
-        SwrSketch::Options{.ell = ell, .exact_frobenius = true,
-                           .seed = 7 + w}));
-    ptrs.push_back(owned.back().get());
-  }
-  DistributedSwr coordinator(ptrs);
-  WindowBuffer b1(WindowSpec::Sequence(100)), b2(WindowSpec::Sequence(100));
+  auto sharded = MakeShardedSwr(d, WindowSpec::Sequence(200), ell, 2, 7);
+  ASSERT_TRUE(sharded);
+  WindowBuffer truth(WindowSpec::Sequence(200));
   Rng rng(5);
   for (int i = 0; i < 400; ++i) {
     auto row = RandomRow(&rng, d);
-    coordinator.Update(i % 2, row, i / 2);
-    ((i % 2) ? b2 : b1).Add(Row(row, i / 2));
+    sharded->Update(row, i);
+    truth.Add(Row(row, i));
   }
-  const double union_frob = b1.FrobeniusNormSq() + b2.FrobeniusNormSq();
-  EXPECT_NEAR(coordinator.Query().FrobeniusNormSq(), union_frob,
+  const double union_frob = truth.FrobeniusNormSq();
+  EXPECT_NEAR(sharded->Query().FrobeniusNormSq(), union_frob,
               1e-9 * union_frob);
 }
 
-TEST(DistributedSwrTest, HeavyWorkerDominatesSampling) {
-  // One worker's sub-stream carries almost all mass: union samples should
-  // almost always come from it (coordinate signature check).
+TEST(ShardedSwrTest, HeavyWorkerDominatesSampling) {
+  // Round-robin over two shards sends every light row to shard 0 and every
+  // heavy row to shard 1, so one shard's sub-stream carries almost all
+  // mass: union samples should almost always come from it (coordinate
+  // signature check).
   const size_t d = 4, ell = 16;
-  std::vector<std::unique_ptr<SwrSketch>> owned;
-  std::vector<SwrSketch*> ptrs;
-  for (size_t w = 0; w < 2; ++w) {
-    owned.push_back(std::make_unique<SwrSketch>(
-        d, WindowSpec::Sequence(100),
-        SwrSketch::Options{.ell = ell, .exact_frobenius = true,
-                           .seed = 20 + w}));
-    ptrs.push_back(owned.back().get());
-  }
-  DistributedSwr coordinator(ptrs);
+  auto sharded = MakeShardedSwr(d, WindowSpec::Sequence(200), ell, 2, 20);
+  ASSERT_TRUE(sharded);
   Rng rng(6);
   for (int i = 0; i < 200; ++i) {
     std::vector<double> light{0.01 * rng.Gaussian(), 0, 0, 0};
     std::vector<double> heavy{0, 0, 0, 10.0 + rng.Gaussian()};
     if (NormSq(light) == 0.0) light[0] = 0.01;
-    coordinator.Update(0, light, i);
-    coordinator.Update(1, heavy, i);
+    sharded->Update(light, 2 * i);
+    sharded->Update(heavy, 2 * i + 1);
   }
-  Matrix b = coordinator.Query();
+  Matrix b = sharded->Query();
   size_t from_heavy = 0;
   for (size_t i = 0; i < b.rows(); ++i) {
     if (b(i, 3) != 0.0) ++from_heavy;
@@ -155,53 +151,38 @@ TEST(DistributedSwrTest, HeavyWorkerDominatesSampling) {
   EXPECT_GE(from_heavy, b.rows() - 1);
 }
 
-TEST(DistributedSwrTest, UpdateRejectsOutOfRangeWorkerIndex) {
-  // Routing indices are caller data, not a trusted invariant; an
-  // out-of-range worker must trip the bounds check, not scribble memory.
-  SwrSketch a(4, WindowSpec::Sequence(10), SwrSketch::Options{.ell = 4});
-  std::vector<SwrSketch*> ptrs{&a};
-  DistributedSwr coordinator(ptrs);
-  std::vector<double> row{1.0, 0.0, 0.0, 0.0};
-  EXPECT_DEATH(coordinator.Update(1, row, 0.0), "");
-}
-
-TEST(DistributedSwrTest, TimestampFoldingServesCurrentWindow) {
-  // Update folds every ts into now_, so Query() serves the *current*
-  // union window without an explicit AdvanceTo heartbeat: rows a stale
-  // worker contributed before the window slid past them must be expired
-  // at query time even though that worker saw no further updates.
+TEST(ShardedSwrTest, TimestampFoldingServesCurrentWindow) {
+  // Query() serves the *current* union window without an explicit
+  // AdvanceTo heartbeat: rows a stale shard holds from before the window
+  // slid past them must be expired at query time even though that shard
+  // saw no further updates.
   const size_t d = 4, ell = 8;
-  std::vector<std::unique_ptr<SwrSketch>> owned;
-  std::vector<SwrSketch*> ptrs;
-  for (size_t w = 0; w < 2; ++w) {
-    owned.push_back(std::make_unique<SwrSketch>(
-        d, WindowSpec::Time(10.0),
-        SwrSketch::Options{.ell = ell, .exact_frobenius = true,
-                           .seed = 40 + w}));
-    ptrs.push_back(owned.back().get());
-  }
-  DistributedSwr coordinator(ptrs);
-  // Worker 0: coordinate-0 rows at early timestamps only.
+  auto sharded = MakeShardedSwr(d, WindowSpec::Time(10.0), ell, 2, 40);
+  ASSERT_TRUE(sharded);
+  // Coordinate-0 rows at early timestamps, ten per shard.
   for (int i = 0; i < 20; ++i) {
-    coordinator.Update(0, std::vector<double>{1.0, 0, 0, 0}, 0.1 * i);
+    sharded->Update(std::vector<double>{1.0, 0, 0, 0}, 0.1 * i);
   }
-  // Worker 1: coordinate-3 rows far past worker 0's window.
-  for (int i = 0; i < 20; ++i) {
-    coordinator.Update(1, std::vector<double>{0, 0, 0, 1.0}, 100.0 + 0.1 * i);
-  }
-  const Matrix b = coordinator.Query();
+  // One coordinate-3 row far past the early window: it lands on shard 0,
+  // so shard 1 only ever sees early rows.
+  sharded->Update(std::vector<double>{0, 0, 0, 1.0}, 100.0);
+  const Matrix b = sharded->Query();
   ASSERT_GT(b.rows(), 0u);
   for (size_t i = 0; i < b.rows(); ++i) {
-    EXPECT_EQ(b(i, 0), 0.0);  // No expired worker-0 row survives.
+    EXPECT_EQ(b(i, 0), 0.0);  // No expired early row survives.
     EXPECT_NE(b(i, 3), 0.0);
   }
 }
 
-TEST(DistributedSwrTest, MismatchedWorkersRejected) {
-  SwrSketch a(4, WindowSpec::Sequence(10), SwrSketch::Options{.ell = 4});
-  SwrSketch b(4, WindowSpec::Sequence(10), SwrSketch::Options{.ell = 8});
-  std::vector<SwrSketch*> ptrs{&a, &b};
-  EXPECT_DEATH(DistributedSwr coordinator(ptrs), "");
+TEST(ShardedSwrTest, MismatchedWorkersRejected) {
+  std::vector<std::unique_ptr<SlidingWindowSketch>> shards;
+  shards.push_back(std::make_unique<SwrSketch>(
+      4, WindowSpec::Sequence(10), SwrSketch::Options{.ell = 4}));
+  shards.push_back(std::make_unique<SwrSketch>(
+      4, WindowSpec::Sequence(10), SwrSketch::Options{.ell = 8}));
+  EXPECT_DEATH(ShardedSketch(std::move(shards), ReduceSpecFor("swr", 4),
+                             ShardedSketch::Options{}),
+               "");
 }
 
 }  // namespace

@@ -420,5 +420,83 @@ TEST(SerializeTest, OutOfRangeShrinkRankInLmFdBlobRejected) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+// Every config field a sketch deserializer reads is held to the factory's
+// bound (NaN fails it too): a real blob with one field patched out of
+// range reloads as InvalidArgument, never as an abort in a constructor or
+// at the first block close after the load.
+TEST(SerializeTest, OutOfRangeWireConfigFieldsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* algorithm;
+    const char* field;
+    size_t offset;     // Byte offset of the field in the blob.
+    double original;   // The configured value found there.
+    double patched;
+    bool is_u64;       // The field is a uint64_t, not a double.
+  };
+  const Case cases[] = {
+      {"di-fd", "fd_buffer_factor", 56, 1.5, nan, false},
+      {"di-fd", "max_norm_sq", 32, 2.0, nan, false},
+      {"di-fd", "levels", 16, 5, 2000, true},
+      {"lm-fd", "fd_buffer_factor", 49, 1.5, nan, false},
+      {"ds-fd", "snapshot_trunc", 41, 0.25, nan, false},
+      {"ds-fd", "frame_ell_factor", 49, 1.5, nan, false},
+      {"ds-fd", "fd_buffer_factor", 57, 3.0, nan, false},
+      {"ds-fd", "frobenius_eps", 65, 0.05, nan, false},
+      {"ds-fd", "frobenius_eps", 65, 0.05, 2.0, false},
+      {"swr", "frobenius_eps", 33, 0.05, nan, false},
+      {"swr", "frobenius_eps", 33, 0.05, 2.0, false},
+      {"swor", "frobenius_eps", 34, 0.05, nan, false},
+      {"swor", "frobenius_eps", 34, 0.05, 2.0, false},
+  };
+  const size_t d = 4;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.algorithm) + " " + c.field + " = " +
+                 std::to_string(c.patched));
+    SketchConfig config;
+    config.algorithm = c.algorithm;
+    config.ell = 8;
+    config.levels = 5;
+    config.max_norm_sq = 2.0;
+    config.fd_buffer_factor = 1.5;
+    auto sketch =
+        MakeSlidingWindowSketch(d, WindowSpec::Sequence(100), config);
+    ASSERT_TRUE(sketch.ok()) << sketch.status().message();
+    Rng rng(12);
+    for (int i = 0; i < 50; ++i) {
+      sketch.value()->Update(RandomRow(&rng, d), i);
+    }
+    ByteWriter w;
+    ASSERT_TRUE(sketch.value()->SerializeTo(&w).ok());
+    std::vector<uint8_t> bytes = w.TakeBytes();
+    ASSERT_LE(c.offset + 8, bytes.size());
+    if (c.is_u64) {
+      uint64_t found = 0;
+      std::memcpy(&found, &bytes[c.offset], sizeof(found));
+      ASSERT_EQ(static_cast<double>(found), c.original);
+      const uint64_t patched = static_cast<uint64_t>(c.patched);
+      std::memcpy(&bytes[c.offset], &patched, sizeof(patched));
+    } else {
+      double found = 0.0;
+      std::memcpy(&found, &bytes[c.offset], sizeof(found));
+      ASSERT_EQ(found, c.original);
+      std::memcpy(&bytes[c.offset], &c.patched, sizeof(c.patched));
+    }
+
+    ByteReader r(bytes);
+    auto loaded = DeserializeSlidingWindowSketch(&r);
+    if (loaded.ok()) {
+      // A blob that loads must also survive ingest: some bad fields only
+      // reach a CHECK at the first block close.
+      for (int i = 0; i < 2000; ++i) {
+        loaded.value()->Update(RandomRow(&rng, d), 50 + i);
+      }
+      (void)loaded.value()->Query();
+    }
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 }  // namespace
 }  // namespace swsketch

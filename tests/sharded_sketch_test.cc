@@ -225,6 +225,11 @@ TEST(ShardedSketchTest, RandomizedBackendsToleranceParity) {
         CovarianceError(gram, frob, plain.value()->Query());
     EXPECT_LT(err_sharded, 0.75);
     EXPECT_LT(err_plain, 0.75);
+    // The priority union answers with one sample per slot, like plain SWR,
+    // not with the S * ell rows of stacked shard answers.
+    if (algo == "swr") {
+      EXPECT_LE(sharded->Query().rows(), ell);
+    }
   }
 }
 
@@ -350,6 +355,7 @@ TEST(MergeReduceTest, SpecForAlgorithms) {
   EXPECT_EQ(ReduceSpecFor("di-fd", 16).reduce_ell, 32u);
   EXPECT_EQ(ReduceSpecFor("lm-hash", 16).kind, QueryReduceKind::kSum);
   EXPECT_EQ(ReduceSpecFor("lm-rp", 16).kind, QueryReduceKind::kSum);
+  EXPECT_EQ(ReduceSpecFor("swr", 16).kind, QueryReduceKind::kPriorityUnion);
   EXPECT_EQ(ReduceSpecFor("di-hash", 16).kind, QueryReduceKind::kStack);
   EXPECT_EQ(ReduceSpecFor("exact", 16).kind, QueryReduceKind::kStack);
 }
