@@ -7,8 +7,9 @@
 //     the grid that picked the shipped --fd_buffer default; cells land in
 //     BENCH_ablate_fd_shrink.json for scripts/bench_diff.py.
 //
-// The Jacobi/tridiag eigen route is measured by micro_linalg
-// (BM_JacobiEigen vs BM_TridiagEigen at n = 16..128).
+// The shrink's one eigensolver, tridiagonal QL, is measured against the
+// Jacobi reference by micro_linalg (BM_JacobiEigen vs BM_TridiagEigen at
+// n = 4..128).
 //
 //   ./ablate_fd_shrink [--ell=64] [--d=256] [--rows=20000] [--json=1]
 #include <fstream>

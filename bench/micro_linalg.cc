@@ -35,24 +35,33 @@ void BM_ThinSvdWide(benchmark::State& state) {
 BENCHMARK(BM_ThinSvdWide)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Complexity();
 
 void BM_JacobiEigen(benchmark::State& state) {
+  // The reference solver (Tql2 fallback, power/subspace Ritz solves).
   const size_t n = static_cast<size_t>(state.range(0));
   Matrix a = RandomMatrix(2 * n, n, 2).Gram();
   for (auto _ : state) {
     benchmark::DoNotOptimize(JacobiEigen(a));
   }
 }
-BENCHMARK(BM_JacobiEigen)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_JacobiEigen)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_TridiagEigen(benchmark::State& state) {
-  // The large-ell FD-merge path: tridiagonalization + QL, ~10x Jacobi at
-  // n >= 100.
+  // The one eigensolver of the FD shrink: tridiagonalization + QL. n = 4
+  // and 8 are the Gram sizes of d = 8 keyed-tenant sketches; larger n are
+  // the LM/DI buffers and DS-FD frames.
   const size_t n = static_cast<size_t>(state.range(0));
   Matrix a = RandomMatrix(2 * n, n, 2).Gram();
   for (auto _ : state) {
     benchmark::DoNotOptimize(TridiagEigen(a));
   }
 }
-BENCHMARK(BM_TridiagEigen)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_TridiagEigen)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256);
 
 void BM_SpectralNormSymmetric(benchmark::State& state) {
   // Evaluation hot path: spectral norm of a d x d Gram difference.

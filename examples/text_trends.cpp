@@ -11,7 +11,7 @@
 
 #include "core/logarithmic_method.h"
 #include "data/wiki.h"
-#include "linalg/jacobi_eigen.h"
+#include "linalg/tridiag_eigen.h"
 #include "util/flags.h"
 
 using namespace swsketch;
@@ -23,7 +23,7 @@ namespace {
 std::vector<size_t> TopFeatures(const Matrix& b, size_t d, size_t m) {
   Matrix gram(d, d);
   for (size_t i = 0; i < b.rows(); ++i) gram.AddOuterProduct(b.Row(i));
-  SymmetricEigen eig = JacobiEigen(gram);
+  SymmetricEigen eig = TridiagEigen(gram);
   std::vector<std::pair<double, size_t>> weighted(d);
   for (size_t j = 0; j < d; ++j) {
     weighted[j] = {std::fabs(eig.eigenvectors(j, 0)), j};

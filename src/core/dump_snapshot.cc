@@ -358,7 +358,7 @@ Matrix DsFd::CompressSigned(size_t max_rows) {
 
   // A = S S^T, the m x m row-space Gram (never a d x d system).
   stack.GramOuterInto(&s.gram);
-  const SymmetricEigen& ea = SymmetricEigenSolve(s.gram, &s.eigen_a);
+  const SymmetricEigen& ea = TridiagEigen(s.gram, &s.eigen_a);
   // Same numerical rank as the FD shrink, so degenerate stacks retain the
   // same directions as the sketches they came from.
   const size_t r = NumericalRank(ea);
@@ -388,7 +388,7 @@ Matrix DsFd::CompressSigned(size_t max_rows) {
   s.restricted.MirrorUpperToLower();
 
   // M is indefinite; its numerical rank counts only the positive head.
-  const SymmetricEigen& em = SymmetricEigenSolve(s.restricted, &s.eigen_m);
+  const SymmetricEigen& em = TridiagEigen(s.restricted, &s.eigen_m);
   const size_t k = std::min(NumericalRank(em), max_rows);
   if (k == 0) return Matrix(0, dim_);
 

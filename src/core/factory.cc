@@ -14,6 +14,7 @@
 #include "core/logarithmic_method.h"
 #include "core/swor.h"
 #include "core/swr.h"
+#include "sketch/frequent_directions.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 
@@ -122,8 +123,9 @@ Status CheckFrobeniusEps(double frobenius_eps) {
 }
 
 Status CheckFdBuffer(double buffer_factor, const char* field) {
-  if (!(buffer_factor >= 1.0)) {
-    return Status::InvalidArgument(std::string(field) + " must be >= 1");
+  if (!(buffer_factor >= 1.0 &&
+        buffer_factor <= FrequentDirections::kMaxBufferFactor)) {
+    return Status::InvalidArgument(std::string(field) + " must be in [1, 1e6]");
   }
   return Status::OK();
 }

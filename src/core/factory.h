@@ -48,7 +48,8 @@ struct SketchConfig {
   /// FD-based algorithms (lm-fd, di-fd): amortized-shrink buffer factor.
   /// Each FD instance may hold up to fd_buffer_factor * (its ell) rows
   /// before shrinking (Desai et al.), halving SVD frequency at 2.0. Must
-  /// be >= 1; 1 disables buffering.
+  /// be in [1, 1e6] (FrequentDirections::kMaxBufferFactor); 1 disables
+  /// buffering.
   double fd_buffer_factor = 1.0;
 
   /// DS-FD: snapshot ladder density k — a snapshot is dumped every

@@ -27,7 +27,7 @@ PcaResult WindowPca::Principal(size_t k) {
   const Matrix b = sketch_->Query();
   Matrix gram(d, d);
   for (size_t i = 0; i < b.rows(); ++i) gram.AddOuterProduct(b.Row(i));
-  const SymmetricEigen eig = SymmetricEigenSolve(gram);
+  const SymmetricEigen eig = TridiagEigen(gram);
 
   PcaResult out;
   out.eigenvalues.assign(eig.eigenvalues.begin(), eig.eigenvalues.begin() + k);

@@ -1,8 +1,9 @@
-// Cyclic Jacobi eigensolver for dense symmetric matrices. This is the
-// numerical workhorse behind the SVD (via the Gram route), BEST rank-k
-// references and PCA examples. Jacobi is quadratic-per-sweep but extremely
-// robust and accurate for the moderate sizes this library needs
-// (sketch Gram matrices are l x l with l <= a few hundred).
+// Cyclic Jacobi eigensolver for dense symmetric matrices, and the result and
+// workspace types every symmetric eigensolver shares. Jacobi is quadratic-
+// per-sweep but extremely robust: it is TridiagEigen's fallback when QL
+// fails to converge, the small Ritz solver inside power and subspace
+// iteration, and the reference the tests check TridiagEigen against. The
+// hot paths (FD, DS-FD, SVD, PCA) call TridiagEigen (tridiag_eigen.h).
 #ifndef SWSKETCH_LINALG_JACOBI_EIGEN_H_
 #define SWSKETCH_LINALG_JACOBI_EIGEN_H_
 

@@ -20,8 +20,7 @@ SvdResult ThinSvd(const Matrix& a) {
   // sigma_c^2 and its eigenvector is one factor's column c; the other
   // factor is recovered by one product with A.
   const bool wide = n <= d;
-  const SymmetricEigen eig =
-      SymmetricEigenSolve(wide ? a.GramOuter() : a.Gram());
+  const SymmetricEigen eig = TridiagEigen(wide ? a.GramOuter() : a.Gram());
   const size_t r = NumericalRank(eig);
   out.singular_values.resize(r);
   out.u = Matrix(n, r);
@@ -57,7 +56,7 @@ std::vector<double> SingularValues(const Matrix& a) {
   std::vector<double> out(m, 0.0);
   if (a.empty()) return out;
   const Matrix gram = a.rows() <= a.cols() ? a.GramOuter() : a.Gram();
-  SymmetricEigen eig = SymmetricEigenSolve(gram);
+  SymmetricEigen eig = TridiagEigen(gram);
   for (size_t i = 0; i < m; ++i) {
     out[i] = std::sqrt(std::max(eig.eigenvalues[i], 0.0));
   }

@@ -1,5 +1,5 @@
 // Thin singular value decomposition via the Gram route: eigendecompose the
-// smaller of A A^T / A^T A (SymmetricEigenSolve) and recover the other
+// smaller of A A^T / A^T A (TridiagEigen) and recover the other
 // factor. Exact to floating-point accuracy for the well-conditioned,
 // small-side shapes produced by sketches (l x d with l << d), and
 // O(min(n,d)^2 * max(n,d)) which is the right complexity for those shapes.

@@ -233,16 +233,6 @@ const SymmetricEigen& TridiagEigen(const Matrix& s,
   return out;
 }
 
-SymmetricEigen SymmetricEigenSolve(const Matrix& s) {
-  return SolvesByJacobi(s.rows()) ? JacobiEigen(s) : TridiagEigen(s);
-}
-
-const SymmetricEigen& SymmetricEigenSolve(const Matrix& s,
-                                          SymmetricEigenScratch* scratch) {
-  return SolvesByJacobi(s.rows()) ? JacobiEigen(s, scratch)
-                                  : TridiagEigen(s, scratch);
-}
-
 size_t NumericalRank(const SymmetricEigen& eig) {
   constexpr double kRankTol = 3e-6;
   const std::vector<double>& ev = eig.eigenvalues;

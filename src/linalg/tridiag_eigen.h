@@ -1,9 +1,12 @@
 // Symmetric eigensolver via Householder tridiagonalization followed by the
 // implicit-shift QL iteration — the classic dense-symmetric path (EISPACK
 // tred2/tql2 lineage). One O(n^3) reduction plus O(n^2)-per-eigenvalue
-// iteration makes it roughly an order of magnitude faster than cyclic
-// Jacobi at n >= ~100, which is what keeps Frequent Directions merges
-// affordable at large ell. SymmetricEigenSolve dispatches between the two.
+// iteration makes it faster than cyclic Jacobi at every size Frequent
+// Directions shrinks (n >= 4), ~5x at n = 32 and ~10x at n = 64
+// (micro_linalg). It is the one eigensolver of the FD shrink, the DS-FD
+// compress, ThinSvd and the exact/PCA spectra; JacobiEigen remains only as
+// its non-convergence fallback and as the small solver inside
+// power/subspace iteration.
 #ifndef SWSKETCH_LINALG_TRIDIAG_EIGEN_H_
 #define SWSKETCH_LINALG_TRIDIAG_EIGEN_H_
 
@@ -20,23 +23,10 @@ SymmetricEigen TridiagEigen(const Matrix& s);
 /// Scratch-accepting variant: solves into scratch->result and returns a
 /// reference to it (valid until the scratch is reused). Allocation-free
 /// once the scratch has seen a problem of size >= s.rows(). `s` must not
-/// alias any scratch member.
+/// alias any scratch member. This is the entry point of the FD shrink hot
+/// path: a recycled scratch makes the whole eigensolve heap-free.
 const SymmetricEigen& TridiagEigen(const Matrix& s,
                                    SymmetricEigenScratch* scratch);
-
-/// The eigen route rule: cyclic Jacobi on systems of at most 32 rows (more
-/// accurate on tiny systems, no allocation overhead), tridiagonal QL above.
-/// SymmetricEigenSolve dispatches on it; route counters read it.
-inline bool SolvesByJacobi(size_t rows) { return rows <= 32; }
-
-/// Dispatching solver (see SolvesByJacobi).
-SymmetricEigen SymmetricEigenSolve(const Matrix& s);
-
-/// Scratch-accepting dispatching solver (see the TridiagEigen overload for
-/// the reuse/aliasing contract). This is the entry point of the FD shrink
-/// hot path: a recycled scratch makes the whole eigensolve heap-free.
-const SymmetricEigen& SymmetricEigenSolve(const Matrix& s,
-                                          SymmetricEigenScratch* scratch);
 
 /// Numerical rank of a Gram spectrum: the number of leading (descending)
 /// eigenvalues lambda > 0 with sqrt(lambda) > 3e-6 * sqrt(lambda_max). The

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "linalg/jacobi_eigen.h"
+#include "linalg/tridiag_eigen.h"
 #include "linalg/vector_ops.h"
 #include "util/logging.h"
 
@@ -18,7 +18,7 @@ void ExactCovariance::Append(std::span<const double> row, uint64_t) {
 }
 
 Matrix ExactCovariance::Approximation() const {
-  const SymmetricEigen eig = JacobiEigen(gram_);
+  const SymmetricEigen eig = TridiagEigen(gram_);
   Matrix b(dim_, dim_);
   for (size_t i = 0; i < dim_; ++i) {
     const double s = std::sqrt(std::max(eig.eigenvalues[i], 0.0));

@@ -22,7 +22,6 @@ struct FdMetrics {
   Counter* shrinks;
   Counter* shrink_route_gram_wide;
   Counter* shrink_route_gram_tall;
-  Counter* eigen_route_jacobi;
   Counter* eigen_route_tridiag;
   Counter* scratch_creates;
   Counter* scratch_shares;
@@ -36,7 +35,6 @@ struct FdMetrics {
                        scope.counter("shrinks"),
                        scope.counter("shrink_route_gram_wide"),
                        scope.counter("shrink_route_gram_tall"),
-                       scope.counter("eigen_route_jacobi"),
                        scope.counter("eigen_route_tridiag"),
                        scope.counter("scratch_creates"),
                        scope.counter("scratch_shares"),
@@ -180,10 +178,8 @@ void FrequentDirections::Rebuild(size_t rank, size_t max_rows) {
   } else {
     b_.GramInto(&s.gram);
   }
-  (SolvesByJacobi(s.gram.rows()) ? metrics.eigen_route_jacobi
-                                 : metrics.eigen_route_tridiag)
-      ->Add();
-  const SymmetricEigen& eig = SymmetricEigenSolve(s.gram, &s.eigen);
+  metrics.eigen_route_tridiag->Add();
+  const SymmetricEigen& eig = TridiagEigen(s.gram, &s.eigen);
   const size_t r = NumericalRank(eig);
   double lambda = 0.0;
   if (rank <= r) {
@@ -288,8 +284,8 @@ Result<FrequentDirections> FrequentDirections::Deserialize(
     return Status::InvalidArgument("corrupt FrequentDirections payload");
   }
   if (ell < 2 || shrink_opt > ell || shrink_resolved < 1 ||
-      shrink_resolved > ell || !std::isfinite(buffer_factor) ||
-      buffer_factor < 1.0) {
+      shrink_resolved > ell ||
+      !(buffer_factor >= 1.0 && buffer_factor <= kMaxBufferFactor)) {
     return Status::InvalidArgument("invalid FrequentDirections config");
   }
   auto b = Matrix::Deserialize(reader);

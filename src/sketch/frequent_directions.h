@@ -12,8 +12,8 @@
 // ell << d) and rebuilds B' = D W^T B directly, where D = diag(sqrt(max(
 // sigma^2 - lambda, 0)) / sigma): O(n^2 d) for the Gram and the product
 // plus O(n^3) for the eigensolve, with no U/V recovery and, via a reusable
-// FdShrinkScratch, no heap allocation in steady state. The eigen route and
-// the numerical rank are linalg's (SymmetricEigenSolve, NumericalRank).
+// FdShrinkScratch, no heap allocation in steady state. The eigensolver and
+// the numerical rank are linalg's (TridiagEigen, NumericalRank).
 //
 // Amortized shrinking (Desai, Ghashami, Phillips, "Improved Practical
 // Matrix Sketching with Guarantees"): with buffer_factor f > 1 the sketch
@@ -62,10 +62,16 @@ class FrequentDirections : public MatrixSketch {
     /// after each shrink"). Must be <= ell.
     size_t shrink_rank = 0;
     /// Amortization: buffer up to buffer_factor * ell rows before
-    /// shrinking (>= 1; 1 disables buffering). Approximation() and
-    /// RowsStored() then transiently report up to that many rows.
+    /// shrinking (in [1, kMaxBufferFactor]; 1 disables buffering).
+    /// Approximation() and RowsStored() then transiently report up to that
+    /// many rows.
     double buffer_factor = 1.0;
   };
+
+  /// Largest accepted buffer_factor. It keeps buffer_factor * ell a
+  /// defined size_t for any ell and stays above the factor DS-FD derives
+  /// for its frame sketches (at most 0.32 * dim / frame ell).
+  static constexpr double kMaxBufferFactor = 1e6;
 
   FrequentDirections(size_t dim, Options options);
   FrequentDirections(size_t dim, size_t ell)

@@ -112,8 +112,20 @@ const BadConfigRow kBadConfigs[] = {
      [](SketchConfig& c) {
        c.fd_buffer_factor = std::numeric_limits<double>::quiet_NaN();
      }},
+    {"lm-fd", "fd_buffer_factor=inf",
+     [](SketchConfig& c) {
+       c.fd_buffer_factor = std::numeric_limits<double>::infinity();
+     }},
+    {"lm-fd", "fd_buffer_factor=1e300",
+     [](SketchConfig& c) { c.fd_buffer_factor = 1e300; }},
     {"di-fd", "fd_buffer_factor=0.5",
      [](SketchConfig& c) { c.fd_buffer_factor = 0.5; }},
+    {"di-fd", "fd_buffer_factor=inf",
+     [](SketchConfig& c) {
+       c.fd_buffer_factor = std::numeric_limits<double>::infinity();
+     }},
+    {"di-fd", "fd_buffer_factor=1e300",
+     [](SketchConfig& c) { c.fd_buffer_factor = 1e300; }},
     {"amm-di-fd", "fd_buffer_factor=0.5",
      [](SketchConfig& c) { c.fd_buffer_factor = 0.5; }},
     {"lm-fd", "blocks_per_level=1",
@@ -146,6 +158,12 @@ const BadConfigRow kBadConfigs[] = {
      [](SketchConfig& c) { c.ds_frame_ell_factor = 0.5; }},
     {"ds-fd", "ds_fd_buffer_factor=0.5",
      [](SketchConfig& c) { c.ds_fd_buffer_factor = 0.5; }},
+    {"ds-fd", "ds_fd_buffer_factor=inf",
+     [](SketchConfig& c) {
+       c.ds_fd_buffer_factor = std::numeric_limits<double>::infinity();
+     }},
+    {"ds-fd", "ds_fd_buffer_factor=1e300",
+     [](SketchConfig& c) { c.ds_fd_buffer_factor = 1e300; }},
     {"ds-fd", "ds_snapshot_trunc=-0.1",
      [](SketchConfig& c) { c.ds_snapshot_trunc = -0.1; }},
     {"amm-co-fd", "ds_fd_buffer_factor=0.5",

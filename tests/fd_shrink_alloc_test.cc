@@ -86,8 +86,8 @@ size_t AllocationsOverShrinks(FrequentDirections* fd, const Matrix& rows,
 // the caller thread (pool task posting would allocate by design).
 
 TEST(FdShrinkAllocTest, SteadyStateShrinkIsAllocationFreeTridiagRoute) {
-  // ell = 40 > the Jacobi cutoff (32): exercises the tridiagonal QL
-  // eigensolver path with its Householder scratch.
+  // ell = 40: a 40 x 40 Gram through the tridiagonal QL eigensolver and
+  // its Householder scratch.
   const size_t d = 64, ell = 40;
   FrequentDirections fd(d, FrequentDirections::Options{.ell = ell});
   const Matrix rows = RandomMatrix(4 * ell, d, 5);
@@ -100,8 +100,9 @@ TEST(FdShrinkAllocTest, SteadyStateShrinkIsAllocationFreeTridiagRoute) {
   EXPECT_EQ(AllocationsOverShrinks(&fd, rows, 3, &cursor), 0u);
 }
 
-TEST(FdShrinkAllocTest, SteadyStateShrinkIsAllocationFreeJacobiRoute) {
-  // ell = 16 <= the Jacobi cutoff: exercises the cyclic-Jacobi path.
+TEST(FdShrinkAllocTest, SteadyStateShrinkIsAllocationFreeSmallGram) {
+  // ell = 16: the small Grams that LM/DI shrink most often, on the same
+  // tridiagonal QL scratch.
   const size_t d = 64, ell = 16;
   FrequentDirections fd(d, FrequentDirections::Options{.ell = ell});
   const Matrix rows = RandomMatrix(4 * ell, d, 7);

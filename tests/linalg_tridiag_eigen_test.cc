@@ -120,10 +120,10 @@ TEST(TridiagEigenTest, LowRankMatrix) {
   EXPECT_TRUE(Reconstruct(eig).ApproxEquals(m, 1e-8));
 }
 
-TEST(SymmetricEigenSolveTest, DispatchesConsistently) {
-  for (size_t n : {8u, 32u, 33u, 100u}) {
+TEST(TridiagEigenTest, MatchesJacobiOnPsdAcrossSizes) {
+  for (size_t n : {4u, 8u, 32u, 33u, 100u}) {
     Matrix m = RandomPsd(n, n + 10, 200 + n);
-    SymmetricEigen fast = SymmetricEigenSolve(m);
+    SymmetricEigen fast = TridiagEigen(m);
     SymmetricEigen ref = JacobiEigen(m);
     for (size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(fast.eigenvalues[i], ref.eigenvalues[i],

@@ -258,12 +258,12 @@ TEST(MetricsInvariantsTest, DiBlockLedgerBalancesAndSettlesOnDestruction) {
 TEST(MetricsInvariantsTest, FdShrinksFollowTheAmortizedSchedule) {
   // Gaussian rows are full rank, so each shrink leaves exactly
   // shrink_rank - 1 rows and the shrink count is an exact function of n.
-  // Two inputs cover both shrink routes and both eigen routes:
+  // Two inputs cover both shrink routes, and every shrink of either one
+  // is a tridiagonal-QL eigensolve:
   //  - tall: capacity (= ell, buffer_factor 1) exceeds dim, so every
-  //    shrink takes the gram_tall route on a d x d Gram small enough for
-  //    the Jacobi path;
+  //    shrink takes the gram_tall route on a d x d Gram;
   //  - wide: capacity <= dim, so every shrink takes the gram_wide route on
-  //    a capacity x capacity Gram too large for Jacobi (tridiag QL).
+  //    a capacity x capacity Gram.
   const struct {
     size_t d, ell;
     bool wide;
@@ -276,7 +276,6 @@ TEST(MetricsInvariantsTest, FdShrinksFollowTheAmortizedSchedule) {
     const uint64_t shrinks0 = C("fd.shrinks");
     const uint64_t wide0 = C("fd.shrink_route_gram_wide");
     const uint64_t tall0 = C("fd.shrink_route_gram_tall");
-    const uint64_t jacobi0 = C("fd.eigen_route_jacobi");
     const uint64_t tridiag0 = C("fd.eigen_route_tridiag");
 
     FrequentDirections fd(in.d, in.ell);
@@ -289,15 +288,13 @@ TEST(MetricsInvariantsTest, FdShrinksFollowTheAmortizedSchedule) {
     EXPECT_EQ(fd.shrink_count(), expected);
     EXPECT_EQ(C("fd.appends") - appends0, n);
     EXPECT_EQ(C("fd.shrinks") - shrinks0, fd.shrink_count());
-    const uint64_t jacobi = C("fd.eigen_route_jacobi") - jacobi0;
     const uint64_t tridiag = C("fd.eigen_route_tridiag") - tridiag0;
-    EXPECT_EQ(jacobi + tridiag, C("fd.shrinks") - shrinks0);
+    EXPECT_EQ(tridiag, C("fd.shrinks") - shrinks0);
+    EXPECT_EQ(tridiag, fd.shrink_count());
     if (in.wide) {
       EXPECT_EQ(C("fd.shrink_route_gram_wide") - wide0, fd.shrink_count());
-      EXPECT_EQ(tridiag, fd.shrink_count());
     } else {
       EXPECT_EQ(C("fd.shrink_route_gram_tall") - tall0, fd.shrink_count());
-      EXPECT_EQ(jacobi, fd.shrink_count());
     }
   }
 }

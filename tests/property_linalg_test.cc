@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -102,6 +103,86 @@ INSTANTIATE_TEST_SUITE_P(Sizes, EigenSolverConsistency,
                          ::testing::Combine(::testing::Values(2, 6, 20, 48,
                                                               90),
                                             ::testing::Values(3u, 4u)));
+
+// The Gram every FD shrink eigendecomposes: G = B B^T of a wide buffer of
+// n <= capacity rows in d = 150 columns, in the three shapes a buffer takes
+// in a stream.
+enum class FdBuffer { kRandom, kShrunkPlusNew, kRankDeficient };
+
+Matrix FdBufferRows(FdBuffer kind, size_t n, uint64_t seed) {
+  constexpr size_t kD = 150;
+  switch (kind) {
+    case FdBuffer::kRandom:
+      return RandomMatrix(n, kD, seed, 0.05);
+    case FdBuffer::kShrunkPlusNew: {
+      // A shrink leaves mutually orthogonal rows sqrt(sigma_i^2 - lambda)
+      // v_i^T; fresh rows are appended behind them until the next shrink.
+      const size_t k = n / 2;
+      const Matrix fresh = RandomMatrix(n, kD, seed, 0.0);
+      Matrix b(0, kD);
+      std::vector<std::vector<double>> basis;
+      for (size_t i = 0; i < k; ++i) {
+        std::vector<double> v(fresh.Row(i).begin(), fresh.Row(i).end());
+        for (const std::vector<double>& u : basis) Axpy(-Dot(u, v), u, v);
+        Normalize(v);
+        basis.push_back(v);
+        b.AppendRowScaled(v, std::sqrt(static_cast<double>(2 * (k - i))));
+      }
+      for (size_t i = k; i < n; ++i) b.AppendRow(fresh.Row(i));
+      return b;
+    }
+    case FdBuffer::kRankDeficient: {
+      const size_t r = std::max<size_t>(1, n / 3);
+      return RandomMatrix(n, r, seed, 0.0)
+          .Multiply(RandomMatrix(r, kD, seed + 1, 0.0));
+    }
+  }
+  return Matrix(0, kD);
+}
+
+class FdGramEigenProperty
+    : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
+
+// TridiagEigen is the FD shrink's only eigensolver: on every FD-shaped Gram
+// it must return a backward-stable decomposition (small residual, orthonormal
+// eigenvectors) whose spectrum matches the Jacobi oracle.
+TEST_P(FdGramEigenProperty, TridiagIsExactOnFdShapedGrams) {
+  const auto [n, seed] = GetParam();
+  SymmetricEigenScratch scratch;
+  for (FdBuffer kind : {FdBuffer::kRandom, FdBuffer::kShrunkPlusNew,
+                        FdBuffer::kRankDeficient}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const Matrix gram = FdBufferRows(kind, n, seed).GramOuter();
+    const SymmetricEigen& eig = TridiagEigen(gram, &scratch);
+    const SymmetricEigen oracle = JacobiEigen(gram);
+    ASSERT_EQ(eig.eigenvalues.size(), n);
+    const double norm = oracle.eigenvalues[0];  // ||G||_2: G is PSD.
+    ASSERT_GT(norm, 0.0);
+
+    std::vector<double> v(n), gv(n);
+    double ortho_sq = 0.0;
+    for (size_t c = 0; c < n; ++c) {
+      for (size_t r = 0; r < n; ++r) v[r] = eig.eigenvectors(r, c);
+      gram.Apply(v, gv);
+      Axpy(-eig.eigenvalues[c], v, gv);
+      EXPECT_LE(Norm(gv), 1e-12 * norm) << "residual, c=" << c;
+      EXPECT_LE(std::fabs(eig.eigenvalues[c] - oracle.eigenvalues[c]),
+                1e-10 * norm)
+          << "eigenvalue, c=" << c;
+      for (size_t c2 = 0; c2 < n; ++c2) {
+        double dot = 0.0;
+        for (size_t r = 0; r < n; ++r) dot += v[r] * eig.eigenvectors(r, c2);
+        const double err = dot - (c == c2 ? 1.0 : 0.0);
+        ortho_sq += err * err;
+      }
+    }
+    EXPECT_LE(std::sqrt(ortho_sq), 1e-12) << "||V^T V - I||_F";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FdSizes, FdGramEigenProperty,
+                         ::testing::Combine(::testing::Range<size_t>(2, 33),
+                                            ::testing::Values(5u, 6u)));
 
 class MatrixAlgebraProperty
     : public ::testing::TestWithParam<std::tuple<size_t, size_t, uint64_t>> {

@@ -380,7 +380,8 @@ TEST(SerializeTest, OutOfRangeFdOptionsRejected) {
   for (const auto& bytes :
        {HandWrittenFdPayload(4, 9, 1.0),
         HandWrittenFdPayload(4, 2, std::numeric_limits<double>::quiet_NaN()),
-        HandWrittenFdPayload(4, 2, std::numeric_limits<double>::infinity())}) {
+        HandWrittenFdPayload(4, 2, std::numeric_limits<double>::infinity()),
+        HandWrittenFdPayload(4, 2, 1e300)}) {
     ByteReader r(bytes);
     const auto loaded = FrequentDirections::Deserialize(&r);
     ASSERT_FALSE(loaded.ok());
@@ -426,6 +427,7 @@ TEST(SerializeTest, OutOfRangeShrinkRankInLmFdBlobRejected) {
 // at the first block close after the load.
 TEST(SerializeTest, OutOfRangeWireConfigFieldsRejected) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   struct Case {
     const char* algorithm;
     const char* field;
@@ -436,12 +438,18 @@ TEST(SerializeTest, OutOfRangeWireConfigFieldsRejected) {
   };
   const Case cases[] = {
       {"di-fd", "fd_buffer_factor", 56, 1.5, nan, false},
+      {"di-fd", "fd_buffer_factor", 56, 1.5, inf, false},
+      {"di-fd", "fd_buffer_factor", 56, 1.5, 1e300, false},
       {"di-fd", "max_norm_sq", 32, 2.0, nan, false},
       {"di-fd", "levels", 16, 5, 2000, true},
       {"lm-fd", "fd_buffer_factor", 49, 1.5, nan, false},
+      {"lm-fd", "fd_buffer_factor", 49, 1.5, inf, false},
+      {"lm-fd", "fd_buffer_factor", 49, 1.5, 1e300, false},
       {"ds-fd", "snapshot_trunc", 41, 0.25, nan, false},
       {"ds-fd", "frame_ell_factor", 49, 1.5, nan, false},
       {"ds-fd", "fd_buffer_factor", 57, 3.0, nan, false},
+      {"ds-fd", "fd_buffer_factor", 57, 3.0, inf, false},
+      {"ds-fd", "fd_buffer_factor", 57, 3.0, 1e300, false},
       {"ds-fd", "frobenius_eps", 65, 0.05, nan, false},
       {"ds-fd", "frobenius_eps", 65, 0.05, 2.0, false},
       {"swr", "frobenius_eps", 33, 0.05, nan, false},
