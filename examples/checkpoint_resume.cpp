@@ -5,7 +5,9 @@
 //   ./checkpoint_resume [--rows=30000] [--window=3000]
 #include <cstdio>
 #include <fstream>
+#include <memory>
 
+#include "core/factory.h"
 #include "core/logarithmic_method.h"
 #include "data/synthetic.h"
 #include "util/flags.h"
@@ -50,12 +52,13 @@ int main(int argc, char** argv) {
   std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
                              std::istreambuf_iterator<char>());
   ByteReader reader(bytes);
-  auto resumed = LmFd::Deserialize(&reader);
-  if (!resumed.ok()) {
+  auto loaded = DeserializeSlidingWindowSketch(&reader);
+  if (!loaded.ok()) {
     std::fprintf(stderr, "resume failed: %s\n",
-                 resumed.status().ToString().c_str());
+                 loaded.status().ToString().c_str());
     return 1;
   }
+  std::unique_ptr<SlidingWindowSketch> resumed = loaded.take();
 
   // Both continue over the second half.
   for (const Row& row : second_half) {

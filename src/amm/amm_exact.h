@@ -50,13 +50,15 @@ class AmmExact : public AmmSketch {
 
   /// Version 1 AMM-EXACT wire format (v2 container conventions): framed
   /// header, dims, window, clock, then the live pairs in arrival order.
+  /// core/factory.h reads the header through the window; LoadState reads
+  /// the clock and the pairs.
   static constexpr uint32_t kSerialTag = 0x414D4531;  // "AME1"
   void Serialize(ByteWriter* writer) const;
-  static Result<AmmExact> Deserialize(ByteReader* reader);
   Status SerializeTo(ByteWriter* writer) const override {
     Serialize(writer);
     return Status::OK();
   }
+  Status LoadState(ByteReader* reader) override;
 
  protected:
   /// Exact A_W^T B_W, accumulated pair-by-pair in arrival order (the

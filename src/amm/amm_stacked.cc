@@ -1,6 +1,5 @@
 #include "amm/amm_stacked.h"
 
-#include "core/factory.h"
 #include "util/logging.h"
 
 namespace swsketch {
@@ -46,23 +45,10 @@ Status AmmStacked::SerializeTo(ByteWriter* writer) const {
   return inner_->SerializeTo(writer);
 }
 
-Result<AmmStacked> AmmStacked::Deserialize(ByteReader* reader) {
-  if (!CheckHeader(reader, kSerialTag, 1)) {
-    return Status::InvalidArgument("bad AMM-stacked header");
-  }
-  uint64_t dim_a = 0, dim_b = 0;
-  if (!reader->Get(&dim_a) || !reader->Get(&dim_b) || dim_a == 0 ||
-      dim_b == 0) {
-    return Status::InvalidArgument("bad AMM-stacked dims");
-  }
-  auto inner = DeserializeSlidingWindowSketch(reader);
-  if (!inner.ok()) return inner.status();
-  if ((*inner)->dim() != dim_a + dim_b) {
-    return Status::InvalidArgument("AMM-stacked dims disagree with payload");
-  }
-  AmmStacked sketch(dim_a, dim_b, inner.take());
-  sketch.metrics().reloads->Add();
-  return sketch;
+Status AmmStacked::LoadState(ByteReader* reader) {
+  if (Status s = inner_->LoadState(reader); !s.ok()) return s;
+  metrics().reloads->Add();
+  return Status::OK();
 }
 
 }  // namespace swsketch

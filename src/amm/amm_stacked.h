@@ -65,12 +65,13 @@ class AmmStacked : public AmmSketch {
   const SlidingWindowSketch& inner() const { return *inner_; }
 
   /// Version 1 AMM-stacked wire format: framed header + dims, then the
-  /// underlying sketch's own tagged payload (reload dispatches on that
-  /// inner tag, so one wrapper format covers every underlying backend).
+  /// underlying sketch's own tagged payload. core/factory.h reads both
+  /// headers (the inner tag names the backend: amm-co-fd, amm-lm-fd or
+  /// amm-di-fd), so LoadState is the inner sketch's.
   static constexpr uint32_t kSerialTag = 0x414D5331;  // "AMS1"
   void Serialize(ByteWriter* writer) const;
-  static Result<AmmStacked> Deserialize(ByteReader* reader);
   Status SerializeTo(ByteWriter* writer) const override;
+  Status LoadState(ByteReader* reader) override;
 
  protected:
   Matrix ComputeProduct() override {

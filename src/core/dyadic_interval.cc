@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/factory.h"
-
 namespace swsketch {
 
 namespace {
@@ -56,33 +54,6 @@ void DiFd::Serialize(ByteWriter* writer) const {
   writer->Put<uint64_t>(di_options_.ell_min);
   writer->Put(di_options_.fd_buffer_factor);
   SerializeCore(writer);
-}
-
-Result<DiFd> DiFd::Deserialize(ByteReader* reader) {
-  // Version 2: per-block FD buffer factor added (version-1 payloads
-  // predate amortized buffering and are not readable).
-  if (!CheckHeader(reader, DiFd::kSerialTag, 2)) {
-    return Status::InvalidArgument("bad DiFd header");
-  }
-  uint64_t dim = 0, levels = 0, window = 0, ell_top = 0, ell_min = 0;
-  double max_norm_sq = 0.0, fd_factor = 1.0;
-  if (!reader->Get(&dim) || !reader->Get(&levels) || !reader->Get(&window) ||
-      !reader->Get(&max_norm_sq) || !reader->Get(&ell_top) ||
-      !reader->Get(&ell_min) || !reader->Get(&fd_factor) || window == 0) {
-    return Status::InvalidArgument("corrupt DiFd payload");
-  }
-  if (Status s = CheckDiLevels(window, levels, max_norm_sq); !s.ok()) {
-    return s;
-  }
-  if (Status s = CheckFdBuffer(fd_factor, "fd_buffer_factor"); !s.ok()) {
-    return s;
-  }
-  DiFd sketch(dim, Options{.levels = levels, .window_size = window,
-                           .max_norm_sq = max_norm_sq, .ell_top = ell_top,
-                           .ell_min = ell_min,
-                           .fd_buffer_factor = fd_factor});
-  if (Status s = sketch.DeserializeCore(reader); !s.ok()) return s;
-  return sketch;
 }
 
 DiRp::DiRp(size_t dim, Options options)

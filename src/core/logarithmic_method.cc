@@ -1,7 +1,5 @@
 #include "core/logarithmic_method.h"
 
-#include "core/factory.h"
-
 namespace swsketch {
 
 namespace {
@@ -52,32 +50,6 @@ void LmFd::Serialize(ByteWriter* writer) const {
   SerializeCore(writer);
 }
 
-Result<LmFd> LmFd::Deserialize(ByteReader* reader) {
-  // Version 2: per-block FD buffer factor added (version-1 payloads
-  // predate amortized buffering and are not readable).
-  if (!CheckHeader(reader, LmFd::kSerialTag, 2)) {
-    return Status::InvalidArgument("bad LmFd header");
-  }
-  uint64_t dim = 0, ell = 0, b = 0;
-  double capacity = 0.0, fd_factor = 1.0;
-  if (!reader->Get(&dim)) return Status::InvalidArgument("corrupt LmFd");
-  auto window = WindowSpec::Deserialize(reader);
-  if (!window.ok()) return window.status();
-  if (!reader->Get(&ell) || !reader->Get(&b) || !reader->Get(&capacity) ||
-      !reader->Get(&fd_factor) || ell < 2 || b < 2) {
-    return Status::InvalidArgument("corrupt LmFd payload");
-  }
-  if (Status s = CheckFdBuffer(fd_factor, "fd_buffer_factor"); !s.ok()) {
-    return s;
-  }
-  LmFd sketch(dim, *window,
-              Options{.ell = ell, .blocks_per_level = b,
-                      .block_capacity = capacity,
-                      .fd_buffer_factor = fd_factor});
-  if (Status s = sketch.DeserializeCore(reader); !s.ok()) return s;
-  return sketch;
-}
-
 LmHash::LmHash(size_t dim, WindowSpec window, Options options)
     : LmHash(dim, window, options,
              MetricSet(MetricScope(MetricScope::Slug("LM-HASH")))) {}
@@ -105,26 +77,6 @@ void LmHash::Serialize(ByteWriter* writer) const {
   writer->Put(lm_options_.block_capacity);
   writer->Put<uint64_t>(lm_options_.seed);
   SerializeCore(writer);
-}
-
-Result<LmHash> LmHash::Deserialize(ByteReader* reader) {
-  if (!CheckHeader(reader, LmHash::kSerialTag, 1)) {
-    return Status::InvalidArgument("bad LmHash header");
-  }
-  uint64_t dim = 0, ell = 0, b = 0, seed = 0;
-  double capacity = 0.0;
-  if (!reader->Get(&dim)) return Status::InvalidArgument("corrupt LmHash");
-  auto window = WindowSpec::Deserialize(reader);
-  if (!window.ok()) return window.status();
-  if (!reader->Get(&ell) || !reader->Get(&b) || !reader->Get(&capacity) ||
-      !reader->Get(&seed) || ell == 0 || b < 2) {
-    return Status::InvalidArgument("corrupt LmHash payload");
-  }
-  LmHash sketch(dim, *window,
-                Options{.ell = ell, .blocks_per_level = b,
-                        .block_capacity = capacity, .seed = seed});
-  if (Status s = sketch.DeserializeCore(reader); !s.ok()) return s;
-  return sketch;
 }
 
 LmRp::LmRp(size_t dim, WindowSpec window, Options options)

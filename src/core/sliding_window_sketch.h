@@ -82,11 +82,20 @@ class SlidingWindowSketch {
   /// The window this sketch maintains.
   virtual const WindowSpec& window() const = 0;
 
-  /// Checkpoints the full sketch state; Unimplemented for algorithms
-  /// without serialization support. Reload with
-  /// DeserializeSlidingWindowSketch (factory.h), which dispatches on the
-  /// serialized tag.
+  /// Checkpoints the full sketch state: a (tag, version, config) wire
+  /// header, then the state payload. Unimplemented for algorithms without
+  /// serialization support. Reload with DeserializeSlidingWindowSketch or
+  /// SketchPrototype::DeserializeAt (factory.h).
   virtual Status SerializeTo(ByteWriter*) const {
+    return Status::Unimplemented(name() + " does not support serialization");
+  }
+
+  /// Reads the state payload that follows the wire header into this
+  /// freshly constructed, empty sketch. Only the factory's load path calls
+  /// it, after building this instance from the header it validated; on a
+  /// corrupt payload it returns InvalidArgument and the caller discards
+  /// the instance.
+  virtual Status LoadState(ByteReader*) {
     return Status::Unimplemented(name() + " does not support serialization");
   }
 };

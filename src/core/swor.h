@@ -63,14 +63,15 @@ class SworSketch : public SlidingWindowSketch {
 
   size_t AuxiliarySize() const { return frobenius_.AuxiliarySize(); }
 
-  /// Checkpoint/resume.
+  /// Checkpoint/resume: Serialize writes the wire header core/factory.h
+  /// reads back, then the state LoadState reads.
   static constexpr uint32_t kSerialTag = 0x53574F01;
   void Serialize(ByteWriter* writer) const;
-  static Result<SworSketch> Deserialize(ByteReader* reader);
   Status SerializeTo(ByteWriter* writer) const override {
     Serialize(writer);
     return Status::OK();
   }
+  Status LoadState(ByteReader* reader) override;
 
  private:
   struct Candidate {

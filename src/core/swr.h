@@ -68,15 +68,17 @@ class SwrSketch : public SlidingWindowSketch {
   /// Auxiliary scalars used by the Frobenius tracker.
   size_t AuxiliarySize() const { return frobenius_.AuxiliarySize(); }
 
-  /// Checkpoint/resume. Note: candidate rows shared across chains are
-  /// duplicated in the payload; on load every candidate owns its row.
+  /// Checkpoint/resume: Serialize writes the wire header core/factory.h
+  /// reads back, then the state LoadState reads. Candidate rows shared
+  /// across chains are duplicated in the payload; on load every candidate
+  /// owns its row.
   static constexpr uint32_t kSerialTag = 0x53575201;
   void Serialize(ByteWriter* writer) const;
-  static Result<SwrSketch> Deserialize(ByteReader* reader);
   Status SerializeTo(ByteWriter* writer) const override {
     Serialize(writer);
     return Status::OK();
   }
+  Status LoadState(ByteReader* reader) override;
 
   /// One independent sample with its priority (distributed merging:
   /// priorities are max-stable across disjoint sub-streams).

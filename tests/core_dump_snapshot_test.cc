@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.h"
 #include "eval/cov_err.h"
 #include "stream/window_buffer.h"
 #include "util/random.h"
@@ -136,8 +137,10 @@ TEST(DsFdTest, SerializeRoundTripIsByteStable) {
   ByteWriter w1;
   sketch.Serialize(&w1);
   ByteReader r1(w1.bytes());
-  auto loaded = DsFd::Deserialize(&r1);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  auto reloaded = DeserializeSlidingWindowSketch(&r1);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().message();
+  auto* loaded = dynamic_cast<DsFd*>(reloaded->get());
+  ASSERT_NE(loaded, nullptr);
 
   ByteWriter w2;
   loaded->Serialize(&w2);

@@ -162,7 +162,7 @@ TEST(MetricsInvariantsTest, LmDeserializeLoadsBlocksIntoTheLedger) {
     ByteWriter w;
     lm.Serialize(&w);
     ByteReader r(w.bytes());
-    auto lm2 = LmFd::Deserialize(&r);
+    auto lm2 = DeserializeSlidingWindowSketch(&r);
     ASSERT_TRUE(lm2.ok());
     EXPECT_EQ(C("lm_fd.reloads") - reloads0, 1u);
     EXPECT_EQ(C("lm_fd.blocks_loaded") - loaded0, held);
@@ -526,9 +526,10 @@ TEST(MetricsInvariantsTest, DsFdLedgersBalanceAndSettleOnDestruction) {
       ByteWriter w;
       sketch->Serialize(&w);
       ByteReader r(w.bytes());
-      auto loaded = DsFd::Deserialize(&r);
+      auto loaded = DeserializeSlidingWindowSketch(&r);
       ASSERT_TRUE(loaded.ok()) << "op " << op;
-      sketch = std::make_unique<DsFd>(loaded.take());
+      ASSERT_NE(dynamic_cast<DsFd*>(loaded->get()), nullptr) << "op " << op;
+      sketch.reset(static_cast<DsFd*>(loaded->release()));
     }
     check(op);
   }

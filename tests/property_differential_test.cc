@@ -197,9 +197,10 @@ void RunLmMetricsFuzz(const WindowSpec& window, uint64_t seed) {
       ByteWriter w;
       sketch->Serialize(&w);
       ByteReader r(w.bytes());
-      auto loaded = LmFd::Deserialize(&r);
+      auto loaded = DeserializeSlidingWindowSketch(&r);
       ASSERT_TRUE(loaded.ok()) << "op " << op;
-      sketch = std::make_unique<LmFd>(loaded.take());
+      ASSERT_NE(dynamic_cast<LmFd*>(loaded->get()), nullptr) << "op " << op;
+      sketch.reset(static_cast<LmFd*>(loaded->release()));
     }
     check(op);
   }
@@ -280,9 +281,10 @@ TEST(DifferentialFuzzExtra, DiMetricsInvariantsUnderRandomOps) {
       ByteWriter w;
       sketch->Serialize(&w);
       ByteReader r(w.bytes());
-      auto loaded = DiFd::Deserialize(&r);
+      auto loaded = DeserializeSlidingWindowSketch(&r);
       ASSERT_TRUE(loaded.ok()) << "op " << op;
-      sketch = std::make_unique<DiFd>(loaded.take());
+      ASSERT_NE(dynamic_cast<DiFd*>(loaded->get()), nullptr) << "op " << op;
+      sketch.reset(static_cast<DiFd*>(loaded->release()));
     }
     check(op);
   }

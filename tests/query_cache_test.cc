@@ -280,10 +280,12 @@ TEST(QueryCacheTest, DeserializeResetsCacheAndStaysIdentical) {
   lm.Serialize(&lw);
   di.Serialize(&dw);
   ByteReader lr(lw.bytes()), dr(dw.bytes());
-  auto lm2 = LmFd::Deserialize(&lr);
-  auto di2 = DiFd::Deserialize(&dr);
-  ASSERT_TRUE(lm2.ok());
-  ASSERT_TRUE(di2.ok());
+  auto lm_loaded = DeserializeSlidingWindowSketch(&lr);
+  auto di_loaded = DeserializeSlidingWindowSketch(&dr);
+  ASSERT_TRUE(lm_loaded.ok());
+  ASSERT_TRUE(di_loaded.ok());
+  SlidingWindowSketch* lm2 = lm_loaded->get();
+  SlidingWindowSketch* di2 = di_loaded->get();
 
   // The reloaded sketch starts cold (version reset on load) but must
   // produce the same bytes immediately and after further ingest.
