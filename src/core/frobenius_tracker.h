@@ -75,14 +75,17 @@ class FrobeniusTracker {
     writer->Put(exact_sum_);
   }
 
+  /// Loads into a tracker built with the payload's mode and eps; returns
+  /// false on a mismatch or a corrupt payload.
   bool Deserialize(ByteReader* reader) {
+    const double eps = eh_.eps();
     uint8_t mode = 0;
     std::vector<TsValue> flat;
-    if (!reader->Get(&mode) || !eh_.Deserialize(reader) ||
+    if (!reader->Get(&mode) || (mode != 0) != (mode_ == Mode::kExact) ||
+        !eh_.Deserialize(reader) || eh_.eps() != eps ||
         !reader->GetVector(&flat) || !reader->Get(&exact_sum_)) {
       return false;
     }
-    mode_ = mode == 0 ? Mode::kExponentialHistogram : Mode::kExact;
     exact_.clear();
     for (const auto& e : flat) exact_.emplace_back(e.ts, e.value);
     return true;

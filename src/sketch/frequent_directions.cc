@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "linalg/tridiag_eigen.h"
@@ -60,7 +61,12 @@ struct FdShrinkScratch {
 };
 
 FrequentDirections::FrequentDirections(size_t dim, Options options)
-    : dim_(dim), options_(options) {
+    : FrequentDirections(dim, options, Matrix(0, dim)) {
+  b_.ReserveRows(capacity_);
+}
+
+FrequentDirections::FrequentDirections(size_t dim, Options options, Matrix b)
+    : dim_(dim), options_(options), b_(std::move(b)) {
   SWSKETCH_CHECK_GE(options_.ell, 2u);
   SWSKETCH_CHECK_GE(options_.buffer_factor, 1.0);
   shrink_rank_ = options_.shrink_rank == 0 ? (options_.ell + 1) / 2
@@ -71,8 +77,6 @@ FrequentDirections::FrequentDirections(size_t dim, Options options)
       options_.ell,
       static_cast<size_t>(options_.buffer_factor *
                           static_cast<double>(options_.ell)));
-  b_ = Matrix(0, dim_);
-  b_.ReserveRows(capacity_);
 }
 
 std::shared_ptr<FdShrinkScratch> FrequentDirections::MakeShrinkScratch() {
@@ -283,20 +287,25 @@ Result<FrequentDirections> FrequentDirections::Deserialize(
       !reader->Get(&shrinks)) {
     return Status::InvalidArgument("corrupt FrequentDirections payload");
   }
+  // The buffer capacity buffer_factor * ell must be a defined size_t.
   if (ell < 2 || shrink_opt > ell || shrink_resolved < 1 ||
       shrink_resolved > ell ||
-      !(buffer_factor >= 1.0 && buffer_factor <= kMaxBufferFactor)) {
+      !(buffer_factor >= 1.0 && buffer_factor <= kMaxBufferFactor) ||
+      !(buffer_factor * static_cast<double>(ell) < 0x1p63)) {
     return Status::InvalidArgument("invalid FrequentDirections config");
   }
   auto b = Matrix::Deserialize(reader);
   if (!b.ok()) return b.status();
-  FrequentDirections fd(dim, Options{.ell = ell, .shrink_rank = shrink_opt,
-                                     .buffer_factor = buffer_factor});
-  if (!reader->Get(&fd.shed_mass_) || !reader->Get(&fd.input_mass_) ||
-      b->rows() > fd.capacity_ || b->cols() != dim) {
+  if (b->cols() != dim) {
     return Status::InvalidArgument("corrupt FrequentDirections payload");
   }
-  fd.b_ = b.take();
+  FrequentDirections fd(dim, Options{.ell = ell, .shrink_rank = shrink_opt,
+                                     .buffer_factor = buffer_factor},
+                        b.take());
+  if (!reader->Get(&fd.shed_mass_) || !reader->Get(&fd.input_mass_) ||
+      fd.b_.rows() > fd.capacity_) {
+    return Status::InvalidArgument("corrupt FrequentDirections payload");
+  }
   fd.shrink_rank_ = shrink_resolved;
   fd.shrink_count_ = shrinks;
   return fd;

@@ -120,6 +120,15 @@ class FrequentDirections : public MatrixSketch {
   /// Sum of squared norms of everything appended (= ||A||_F^2).
   double input_mass() const { return input_mass_; }
 
+  /// True when `other` has this sketch's dim, ell, shrink rank and buffer
+  /// capacity (so the two merge and take the same appends); loaders hold
+  /// nested blocks to their factory's config with it.
+  bool SameConfig(const FrequentDirections& other) const {
+    return dim_ == other.dim_ && options_.ell == other.options_.ell &&
+           shrink_rank_ == other.shrink_rank_ &&
+           capacity_ == other.capacity_;
+  }
+
   /// Merges `other` into this sketch (Section 6.1): stack, SVD, shrink with
   /// sigma_{ell+1}^2 so the merged size is at most ell. Requires matching
   /// dim and ell. Works in place on this sketch's buffer.
@@ -145,6 +154,11 @@ class FrequentDirections : public MatrixSketch {
   static Result<FrequentDirections> Deserialize(ByteReader* reader);
 
  private:
+  // Resolves the options like the public constructor but adopts `b` as
+  // the buffer instead of reserving capacity rows (Deserialize: a wire
+  // ell then costs no memory before the payload is checked).
+  FrequentDirections(size_t dim, Options options, Matrix b);
+
   // Shrinks the current buffer with lambda = sigma_{rank}^2 (1-indexed;
   // values beyond the actual rank mean lambda = 0), rewriting b_ in place.
   void ShrinkWithRank(size_t rank);

@@ -68,6 +68,12 @@ class HashSketch : public MatrixSketch {
   /// this += other. Requires matching dim, ell and seed.
   void MergeWith(const HashSketch& other);
 
+  /// True when `other` has this sketch's dim, ell and seed (so the two
+  /// merge); loaders hold nested blocks to their factory's config with it.
+  bool SameConfig(const HashSketch& other) const {
+    return dim_ == other.dim_ && ell() == other.ell() && seed_ == other.seed_;
+  }
+
   /// Checkpoint/resume: the hash family is rebuilt from the seed.
   void Serialize(ByteWriter* writer) const;
   static Result<HashSketch> Deserialize(ByteReader* reader);

@@ -48,6 +48,12 @@ class RandomProjection : public MatrixSketch {
   /// Adds the other's projection into this one; shapes must match.
   void MergeWith(const RandomProjection& other);
 
+  /// True when `other` has this sketch's dim and ell (so the two merge);
+  /// loaders hold nested blocks to their factory's config with it.
+  bool SameConfig(const RandomProjection& other) const {
+    return dim_ == other.dim_ && ell() == other.ell();
+  }
+
   /// Checkpoint/resume: includes the sign-generator state so the resumed
   /// sketch continues the exact same projection.
   void Serialize(ByteWriter* writer) const;

@@ -1,5 +1,6 @@
 #include "stream/window.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "util/logging.h"
@@ -45,12 +46,18 @@ void WindowSpec::Serialize(ByteWriter* writer) const {
 Result<WindowSpec> WindowSpec::Deserialize(ByteReader* reader) {
   uint8_t type = 0;
   double extent = 0.0;
-  if (!reader->Get(&type) || !reader->Get(&extent) || type > 1 ||
-      extent <= 0.0) {
+  if (!reader->Get(&type) || !reader->Get(&extent) || type > 1) {
     return Status::InvalidArgument("corrupt WindowSpec payload");
   }
-  return type == 0 ? WindowSpec::Sequence(static_cast<uint64_t>(extent))
-                   : WindowSpec::Time(extent);
+  // A time extent is any finite positive span; a sequence extent is a row
+  // count, an integer in [1, 2^53]. NaN fails both.
+  const bool valid =
+      type == 0 ? extent >= 1.0 && extent <= kMaxSequenceExtent &&
+                      extent == std::floor(extent)
+                : extent > 0.0 && std::isfinite(extent);
+  if (!valid) return Status::InvalidArgument("corrupt WindowSpec extent");
+  return WindowSpec(type == 0 ? WindowType::kSequence : WindowType::kTime,
+                    extent);
 }
 
 }  // namespace swsketch

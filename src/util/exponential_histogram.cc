@@ -1,5 +1,6 @@
 #include "util/exponential_histogram.h"
 
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -109,8 +110,12 @@ void ExponentialHistogram::Serialize(ByteWriter* writer) const {
 }
 
 bool ExponentialHistogram::Deserialize(ByteReader* reader) {
+  // The clock must be one Add can still advance from: -inf (nothing added
+  // yet) or finite.
   uint64_t n = 0;
-  if (!reader->Get(&eps_) || !reader->Get(&last_ts_) || !reader->Get(&n)) {
+  if (!reader->Get(&eps_) || !reader->Get(&last_ts_) ||
+      std::isnan(last_ts_) ||
+      last_ts_ == std::numeric_limits<double>::infinity() || !reader->Get(&n)) {
     return false;
   }
   boundaries_.clear();

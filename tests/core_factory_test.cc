@@ -168,6 +168,18 @@ const BadConfigRow kBadConfigs[] = {
      [](SketchConfig& c) { c.ds_snapshot_trunc = -0.1; }},
     {"amm-co-fd", "ds_fd_buffer_factor=0.5",
      [](SketchConfig& c) { c.ds_fd_buffer_factor = 0.5; }},
+    // In range field by field, but an instance would reserve more than
+    // 1 GiB before its first query (FD buffers, SWR chains).
+    {"di-fd", "ell=2^40", [](SketchConfig& c) { c.ell = 1ULL << 40; }},
+    {"swr", "ell=2^40", [](SketchConfig& c) { c.ell = 1ULL << 40; }},
+    {"ds-fd", "ell=2^40", [](SketchConfig& c) { c.ell = 1ULL << 40; }},
+    {"ds-fd", "ell=2^64-1", [](SketchConfig& c) { c.ell = ~0ULL; }},
+    {"lm-fd", "ell=32 fd_buffer_factor=1e6",
+     [](SketchConfig& c) {
+       c.ell = 32;
+       c.fd_buffer_factor = 1e6;
+     }},
+    {"amm-co-fd", "ell=2^40", [](SketchConfig& c) { c.ell = 1ULL << 40; }},
 };
 
 ShardedSketch::Options TwoSerialShards() {
@@ -195,6 +207,20 @@ TEST(FactoryTest, OutOfRangeConfigRejectedByEveryEntryPoint) {
     EXPECT_FALSE(
         ShardedSketch::Make(d, window, config, TwoSerialShards()).ok());
   }
+}
+
+// DI indexes its window with the row count as a double: a size past 2^53
+// has no exact representation (and 2^64 - 1 rounds out of uint64_t).
+TEST(FactoryTest, DiWindowBeyondDoublePrecisionRejected) {
+  SketchConfig config;
+  config.algorithm = "di-fd";
+  for (uint64_t n : {(1ULL << 53) + 2, ~0ULL}) {
+    SCOPED_TRACE(n);
+    EXPECT_FALSE(
+        SketchPrototype::Make(6, WindowSpec::Sequence(n), config).ok());
+  }
+  EXPECT_TRUE(
+      SketchPrototype::Make(6, WindowSpec::Sequence(1ULL << 53), config).ok());
 }
 
 // Defined behaviour that validation must keep accepting: DI-FD clamps
