@@ -8,7 +8,7 @@
 //   ./ablate_swr_shared_rows [--rows=40000] [--window=4000]
 #include <iostream>
 
-#include "core/swr.h"
+#include "core/window_sampler.h"
 #include "data/synthetic.h"
 #include "eval/report.h"
 #include "util/flags.h"
@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   for (size_t ell : {8, 16, 32, 64, 128}) {
     SyntheticStream stream(SyntheticStream::Options{
         .rows = rows, .dim = 100, .signal_dim = 20, .window = window});
-    SwrSketch sketch(stream.dim(), WindowSpec::Sequence(window),
-                     SwrSketch::Options{.ell = ell, .seed = 3});
+    WindowSampler sketch(stream.dim(), WindowSpec::Sequence(window),
+                         WindowSampler::Options{.ell = ell, .seed = 3});
     size_t max_entries = 0, max_unique = 0;
     size_t i = 0;
     while (auto row = stream.Next()) {

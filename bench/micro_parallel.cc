@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/logarithmic_method.h"
-#include "core/swr.h"
+#include "core/window_sampler.h"
 #include "linalg/matrix.h"
 #include "sketch/frequent_directions.h"
 #include "sketch/hash_sketch.h"
@@ -183,8 +183,11 @@ void BM_SwrIngestBatch(benchmark::State& state) {
     ts.push_back(std::move(bt));
   }
   for (auto _ : state) {
-    SwrSketch swr(d, WindowSpec::Sequence(1024), SwrSketch::Options{.ell = ell});
-    for (size_t b = 0; b < blocks.size(); ++b) swr.UpdateBatch(blocks[b], ts[b]);
+    WindowSampler swr(d, WindowSpec::Sequence(1024),
+                      WindowSampler::Options{.ell = ell});
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      swr.UpdateBatch(blocks[b], ts[b]);
+    }
     benchmark::DoNotOptimize(swr);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

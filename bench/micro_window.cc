@@ -4,8 +4,7 @@
 
 #include "core/dyadic_interval.h"
 #include "core/logarithmic_method.h"
-#include "core/swor.h"
-#include "core/swr.h"
+#include "core/window_sampler.h"
 #include "util/random.h"
 
 namespace swsketch {
@@ -26,8 +25,8 @@ std::vector<std::vector<double>> MakeRows(size_t n, uint64_t seed) {
 void BM_SwrUpdate(benchmark::State& state) {
   const size_t ell = static_cast<size_t>(state.range(0));
   auto rows = MakeRows(2048, 1);
-  SwrSketch sketch(kDim, WindowSpec::Sequence(kWindow),
-                   SwrSketch::Options{.ell = ell, .seed = 7});
+  WindowSampler sketch(kDim, WindowSpec::Sequence(kWindow),
+                       WindowSampler::Options{.ell = ell, .seed = 7});
   double ts = 0.0;
   size_t i = 0;
   for (auto _ : state) {
@@ -41,8 +40,10 @@ BENCHMARK(BM_SwrUpdate)->Arg(16)->Arg(64)->Arg(128);
 void BM_SworUpdate(benchmark::State& state) {
   const size_t ell = static_cast<size_t>(state.range(0));
   auto rows = MakeRows(2048, 2);
-  SworSketch sketch(kDim, WindowSpec::Sequence(kWindow),
-                    SworSketch::Options{.ell = ell, .seed = 7});
+  WindowSampler sketch(
+      kDim, WindowSpec::Sequence(kWindow),
+      WindowSampler::Options{
+          .ell = ell, .scheme = WindowSampler::Scheme::kSwor, .seed = 7});
   double ts = 0.0;
   size_t i = 0;
   for (auto _ : state) {

@@ -7,7 +7,7 @@
 //   ./activity_sampling [--window=5000] [--ell=12]
 #include <cstdio>
 
-#include "core/swr.h"
+#include "core/window_sampler.h"
 #include "data/pamap.h"
 #include "linalg/vector_ops.h"
 #include "util/flags.h"
@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
       .rows = 60000, .window = window, .plant_skewed_window = false,
       .seed = 99});
 
-  SwrSketch sketch(stream.dim(), WindowSpec::Sequence(window),
-                   SwrSketch::Options{.ell = ell, .seed = 7});
+  WindowSampler sketch(stream.dim(), WindowSpec::Sequence(window),
+                       WindowSampler::Options{.ell = ell, .seed = 7});
 
   size_t i = 0;
   double window_mass = 0.0;  // For intensity context (decayed).

@@ -13,8 +13,7 @@
 #include "core/dyadic_interval.h"
 #include "core/exact_window.h"
 #include "core/logarithmic_method.h"
-#include "core/swor.h"
-#include "core/swr.h"
+#include "core/window_sampler.h"
 #include "sketch/frequent_directions.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -194,9 +193,9 @@ Status ReadWireHeader(ByteReader* reader, WireHeader* header) {
   uint8_t flag = 0;
   bool ok = false;
   switch (tag) {
-    case SwrSketch::kSerialTag:
-    case SworSketch::kSerialTag: {
-      const bool swor = tag == SworSketch::kSerialTag;
+    case WindowSampler::kSerialTag:
+    case WindowSampler::kSworSerialTag: {
+      const bool swor = tag == WindowSampler::kSworSerialTag;
       uint8_t all = 0;
       ok = version == 1 && reader->Get(&header->dim) &&
            GetWindow(reader, &header->window) && reader->Get(&c.ell) &&
@@ -352,27 +351,17 @@ Result<SketchPrototype> SketchPrototype::Dispatch(size_t dim,
   // One branch per algorithm: validate the fields it reads, then resolve
   // its options, metric handles and FD shrink workspace once. Every
   // instance (placement or heap) is built from these same arguments.
-  if (a == "swr") {
+  if (a == "swr" || a == "swor" || a == "swor-all") {
     if (Status s = CheckFrobeniusEps(config.frobenius_eps); !s.ok()) {
       return s;
     }
-    return Of<SwrSketch>(dim, window, dim, window,
-                         SwrSketch::Options{
-                             .ell = config.ell,
-                             .frobenius_eps = config.frobenius_eps,
-                             .exact_frobenius = config.exact_frobenius,
-                             .seed = config.seed});
-  }
-  if (a == "swor" || a == "swor-all") {
-    if (Status s = CheckFrobeniusEps(config.frobenius_eps); !s.ok()) {
-      return s;
-    }
-    return Of<SworSketch>(
+    return Of<WindowSampler>(
         dim, window, dim, window,
-        SworSketch::Options{
+        WindowSampler::Options{
             .ell = config.ell,
-            .query_mode = a == "swor-all" ? SworSketch::QueryMode::kAll
-                                          : SworSketch::QueryMode::kTopEll,
+            .scheme = a == "swr"    ? WindowSampler::Scheme::kSwr
+                      : a == "swor" ? WindowSampler::Scheme::kSwor
+                                    : WindowSampler::Scheme::kSworAll,
             .frobenius_eps = config.frobenius_eps,
             .exact_frobenius = config.exact_frobenius,
             .seed = config.seed});

@@ -1,10 +1,7 @@
 #include "core/merge_reduce.h"
 
-#include <cmath>
-#include <optional>
 #include <utility>
 
-#include "core/swr.h"
 #include "sketch/frequent_directions.h"
 #include "util/logging.h"
 
@@ -24,7 +21,9 @@ QueryReduceSpec ReduceSpecFor(const std::string& algorithm, size_t ell) {
   if (algorithm == "lm-hash" || algorithm == "lm-rp") {
     return {QueryReduceKind::kSum, 0};
   }
-  if (algorithm == "swr") return {QueryReduceKind::kPriorityUnion, 0};
+  if (algorithm == "swr" || algorithm == "swor") {
+    return {QueryReduceKind::kPriorityUnion, 0};
+  }
   return {QueryReduceKind::kStack, 0};
 }
 
@@ -54,7 +53,7 @@ Matrix CombineQueryPair(const QueryReduceSpec& spec, size_t dim,
       return fd.Approximation();
     }
     case QueryReduceKind::kPriorityUnion:
-      break;  // Reads chain samples, not matrices: PriorityUnionQuery.
+      break;  // Reads candidates, not matrices: PriorityUnionQuery.
   }
   SWSKETCH_CHECK(false);
   return Matrix(0, dim);
@@ -94,43 +93,6 @@ Matrix TreeReduceQueries(const QueryReduceSpec& spec, size_t dim,
     width = next;
   }
   return std::move(nodes[0]);
-}
-
-Matrix PriorityUnionQuery(std::span<SwrSketch* const> shards) {
-  SWSKETCH_CHECK_GT(shards.size(), 0u);
-  const size_t ell = shards[0]->ell();
-  const size_t dim = shards[0]->dim();
-
-  // Union-window Frobenius mass = sum of the shards' window masses
-  // (sub-streams are disjoint).
-  double frob_sq = 0.0;
-  std::vector<std::vector<std::optional<SwrSketch::ChainSample>>> samples;
-  samples.reserve(shards.size());
-  for (SwrSketch* shard : shards) {
-    frob_sq += shard->FrobeniusSqEstimate();
-    samples.push_back(shard->ChainSamples());
-  }
-
-  Matrix b(0, dim);
-  if (frob_sq <= 0.0) return b;
-  const double frob = std::sqrt(frob_sq);
-  for (size_t s = 0; s < ell; ++s) {
-    // Max-stability: the union sample for slot s is the highest-priority
-    // candidate across shards.
-    const SwrSketch::ChainSample* best = nullptr;
-    for (const auto& shard_samples : samples) {
-      const auto& cand = shard_samples[s];
-      if (cand.has_value() &&
-          (best == nullptr || cand->log_priority > best->log_priority)) {
-        best = &*cand;
-      }
-    }
-    if (best == nullptr) continue;
-    const double w = best->row->NormSq();
-    b.AppendRowScaled(best->row->view(),
-                      frob / std::sqrt(static_cast<double>(ell) * w));
-  }
-  return b;
 }
 
 }  // namespace swsketch

@@ -15,12 +15,13 @@
 //  - kFdMerge: FD mergeability (Section 6.1). Feeding both operands
 //    through one FD at reduce_ell rows sheds at most the sum of the
 //    operands' shed mass, so the merged bound telescopes up the tree.
-//  - kPriorityUnion: max-stability of SWR priorities. Norm-proportional
-//    samples of disjoint sub-streams combine by keeping, per sample slot,
-//    the highest-priority candidate, which is an SWR sample of the union
-//    window with the single-sketch ell rows. It reads the shards' chain
-//    samples rather than their Query() matrices, so it is not a pairwise
-//    reduce: PriorityUnionQuery serves it, CombineQueryPair rejects it.
+//  - kPriorityUnion: max-stability of sampler priorities. A row in the
+//    union window's top keep is also in its own shard's top keep, so per
+//    chain the top-keep candidates across the shards are a sample of the
+//    union window with the single-sketch ell rows (swr, swor). It reads
+//    the shards' candidates rather than their Query() matrices, so it is
+//    not a pairwise reduce: WindowSampler::PriorityUnionQuery serves it,
+//    CombineQueryPair rejects it.
 //
 // Determinism: CombineQueryPair is a pure function of its operands, and
 // TreeReduceQueries pairs nodes by index exactly like PairwiseTreeReduce
@@ -41,8 +42,6 @@
 
 namespace swsketch {
 
-class SwrSketch;
-
 enum class QueryReduceKind : uint8_t {
   kStack = 0,
   kSum = 1,
@@ -59,8 +58,10 @@ struct QueryReduceSpec {
 /// The reduction for a factory algorithm name (`ell` = SketchConfig::ell):
 /// lm-fd / di-fd -> kFdMerge at ell / 2*ell rows (a DI cover carries up to
 /// ~2*ell rows, so halving it at the reduce would discard accuracy the
-/// shards paid for); lm-hash / lm-rp -> kSum; swr -> kPriorityUnion;
-/// everything else -> kStack.
+/// shards paid for); lm-hash / lm-rp -> kSum; swr / swor -> kPriorityUnion;
+/// everything else -> kStack. swor-all stacks: its answer is every
+/// candidate, and the shards' candidate sets together are a superset of
+/// the union stream's candidates, not that set.
 /// FD-backed AMM wrappers (amm-co-fd / amm-lm-fd / amm-di-fd) follow their
 /// underlying backend — their Query() is the stacked [A | B] approximation,
 /// which FD-merges at the stacked dimension like any covariance sketch.
@@ -79,14 +80,6 @@ Matrix CombineQueryPair(const QueryReduceSpec& spec, size_t dim,
 /// to serial evaluation. Returns Matrix(0, dim) for no parts.
 Matrix TreeReduceQueries(const QueryReduceSpec& spec, size_t dim,
                          std::vector<Matrix> parts, ThreadPool* pool);
-
-/// kPriorityUnion: the union-window SWR sample of `shards`, SWR sketches
-/// over disjoint sub-streams of one window with one ell and dim. Slot s
-/// keeps the highest-priority candidate across the shards' slot s, scaled
-/// by the summed window mass like SwrSketch::Query, so one shard
-/// reproduces its own Query() exactly. Each shard expires to its own
-/// latest timestamp; callers align the shards first.
-Matrix PriorityUnionQuery(std::span<SwrSketch* const> shards);
 
 }  // namespace swsketch
 

@@ -1,5 +1,5 @@
 // Tests for the SWOR sliding-window sampler (Algorithm 5.2) and SWOR-ALL.
-#include "core/swor.h"
+#include "core/window_sampler.h"
 
 #include <cmath>
 #include <set>
@@ -19,18 +19,20 @@ std::vector<double> RandomRow(Rng* rng, size_t d, double scale = 1.0) {
   return r;
 }
 
-TEST(SworSketchTest, QueryReturnsAtMostEll) {
+WindowSampler::Options Swor(size_t ell, uint64_t seed) {
+  return {.ell = ell, .scheme = WindowSampler::Scheme::kSwor, .seed = seed};
+}
+
+TEST(SworSamplerTest, QueryReturnsAtMostEll) {
   const size_t ell = 12;
-  SworSketch sketch(3, WindowSpec::Sequence(200),
-                    SworSketch::Options{.ell = ell, .seed = 1});
+  WindowSampler sketch(3, WindowSpec::Sequence(200), Swor(ell, 1));
   Rng rng(2);
   for (int i = 0; i < 1000; ++i) sketch.Update(RandomRow(&rng, 3), i);
   EXPECT_EQ(sketch.Query().rows(), ell);
 }
 
-TEST(SworSketchTest, NoDuplicateSamples) {
-  SworSketch sketch(3, WindowSpec::Sequence(100),
-                    SworSketch::Options{.ell = 10, .seed = 3});
+TEST(SworSamplerTest, NoDuplicateSamples) {
+  WindowSampler sketch(3, WindowSpec::Sequence(100), Swor(10, 3));
   Rng rng(4);
   for (int i = 0; i < 500; ++i) sketch.Update(RandomRow(&rng, 3), i);
   Matrix b = sketch.Query();
@@ -41,36 +43,34 @@ TEST(SworSketchTest, NoDuplicateSamples) {
   EXPECT_EQ(uniq.size(), b.rows());
 }
 
-TEST(SworSketchTest, CandidateCountNearLemmaBound) {
+TEST(SworSamplerTest, CandidateCountNearLemmaBound) {
   // Lemma 5.2: O(ell log NR) candidates.
   const size_t ell = 8;
-  SworSketch sketch(3, WindowSpec::Sequence(1000),
-                    SworSketch::Options{.ell = ell, .seed = 5});
+  WindowSampler sketch(3, WindowSpec::Sequence(1000), Swor(ell, 5));
   Rng rng(6);
   for (int i = 0; i < 5000; ++i) sketch.Update(RandomRow(&rng, 3), i);
   EXPECT_LT(sketch.RowsStored(), ell * 40u);
   EXPECT_GE(sketch.RowsStored(), ell);
 }
 
-TEST(SworSketchTest, RanksAreConsistent) {
+TEST(SworSamplerTest, RanksAreConsistent) {
   // Every stored candidate must be top-ell in the suffix starting at its
   // own timestamp — in particular there are at most ell candidates newer
   // than any given candidate with higher priority. Indirect check: with a
   // tiny window equal to ell the query returns the full window.
   const size_t ell = 5;
-  SworSketch sketch(2, WindowSpec::Sequence(ell),
-                    SworSketch::Options{.ell = ell, .seed = 7});
+  WindowSampler sketch(2, WindowSpec::Sequence(ell), Swor(ell, 7));
   Rng rng(8);
   for (int i = 0; i < 100; ++i) sketch.Update(RandomRow(&rng, 2), i);
   // All 5 window rows are candidates (each is top-5 in its suffix).
   EXPECT_EQ(sketch.Query().rows(), ell);
 }
 
-TEST(SworSketchTest, SworAllUsesAllCandidates) {
-  SworSketch all(3, WindowSpec::Sequence(300),
-                 SworSketch::Options{.ell = 8,
-                                     .query_mode = SworSketch::QueryMode::kAll,
-                                     .seed = 9});
+TEST(SworSamplerTest, SworAllUsesAllCandidates) {
+  WindowSampler all(
+      3, WindowSpec::Sequence(300),
+      WindowSampler::Options{
+          .ell = 8, .scheme = WindowSampler::Scheme::kSworAll, .seed = 9});
   Rng rng(10);
   for (int i = 0; i < 1500; ++i) all.Update(RandomRow(&rng, 3), i);
   EXPECT_EQ(all.Query().rows(), all.RowsStored());
@@ -78,11 +78,13 @@ TEST(SworSketchTest, SworAllUsesAllCandidates) {
   EXPECT_EQ(all.name(), "SWOR-ALL");
 }
 
-TEST(SworSketchTest, FrobeniusPreservedWithExactTracking) {
-  SworSketch sketch(4, WindowSpec::Sequence(250),
-                    SworSketch::Options{.ell = 12,
-                                        .exact_frobenius = true,
-                                        .seed = 11});
+TEST(SworSamplerTest, FrobeniusPreservedWithExactTracking) {
+  WindowSampler sketch(
+      4, WindowSpec::Sequence(250),
+      WindowSampler::Options{.ell = 12,
+                             .scheme = WindowSampler::Scheme::kSwor,
+                             .exact_frobenius = true,
+                             .seed = 11});
   WindowBuffer buffer(WindowSpec::Sequence(250));
   Rng rng(12);
   for (int i = 0; i < 1200; ++i) {
@@ -94,9 +96,8 @@ TEST(SworSketchTest, FrobeniusPreservedWithExactTracking) {
               1e-9 * buffer.FrobeniusNormSq());
 }
 
-TEST(SworSketchTest, TimeWindowExpiry) {
-  SworSketch sketch(2, WindowSpec::Time(5.0),
-                    SworSketch::Options{.ell = 4, .seed = 13});
+TEST(SworSamplerTest, TimeWindowExpiry) {
+  WindowSampler sketch(2, WindowSpec::Time(5.0), Swor(4, 13));
   std::vector<double> r{1.0, 0.0};
   sketch.Update(r, 0.0);
   sketch.Update(r, 3.0);
@@ -107,10 +108,9 @@ TEST(SworSketchTest, TimeWindowExpiry) {
   EXPECT_EQ(sketch.Query().rows(), 0u);
 }
 
-TEST(SworSketchTest, CovarianceErrorReasonable) {
+TEST(SworSamplerTest, CovarianceErrorReasonable) {
   const size_t d = 8, w = 400;
-  SworSketch sketch(d, WindowSpec::Sequence(w),
-                    SworSketch::Options{.ell = 256, .seed = 14});
+  WindowSampler sketch(d, WindowSpec::Sequence(w), Swor(256, 14));
   WindowBuffer buffer(WindowSpec::Sequence(w));
   Rng rng(15);
   for (int i = 0; i < 2000; ++i) {
@@ -123,10 +123,9 @@ TEST(SworSketchTest, CovarianceErrorReasonable) {
   EXPECT_LT(err, 0.35);
 }
 
-TEST(SworSketchTest, HeavyRowIsKept) {
+TEST(SworSamplerTest, HeavyRowIsKept) {
   // A row with overwhelming norm is (almost surely) in the top-ell sample.
-  SworSketch sketch(2, WindowSpec::Sequence(100),
-                    SworSketch::Options{.ell = 4, .seed = 16});
+  WindowSampler sketch(2, WindowSpec::Sequence(100), Swor(4, 16));
   Rng rng(17);
   for (int i = 0; i < 50; ++i) sketch.Update(RandomRow(&rng, 2, 0.01), i);
   std::vector<double> heavy{1000.0, 0.0};

@@ -30,7 +30,7 @@
 #include "core/dyadic_interval.h"
 #include "core/factory.h"
 #include "core/logarithmic_method.h"
-#include "core/swor.h"
+#include "core/window_sampler.h"
 #include "distributed/sharded_sketch.h"
 #include "linalg/matrix.h"
 #include "service/tenant_manager.h"
@@ -341,10 +341,11 @@ TEST(MetricsInvariantsTest, SworDrawsAreConserved) {
   const uint64_t exp0 = C("swor.front_expiries");
   const uint64_t rows0 = C("swor.rows_ingested");
 
-  SworSketch::Options opt;
+  WindowSampler::Options opt;
   opt.ell = 8;
+  opt.scheme = WindowSampler::Scheme::kSwor;
   opt.seed = 9;
-  SworSketch swor(d, WindowSpec::Sequence(64), opt);
+  WindowSampler swor(d, WindowSpec::Sequence(64), opt);
   for (size_t i = 0; i < rows.rows(); ++i) {
     swor.Update(rows.Row(i), static_cast<double>(i + 1));
     const uint64_t draws = C("swor.priority_draws") - draws0;

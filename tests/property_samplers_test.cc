@@ -7,8 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/swor.h"
-#include "core/swr.h"
+#include "core/window_sampler.h"
 #include "util/random.h"
 
 namespace swsketch {
@@ -24,9 +23,10 @@ TEST(SamplerStats, SwrWindowInclusionProportionalToNormSq) {
   const size_t trials = 4000;
   std::vector<int> counts(4, 0);
   for (size_t t = 0; t < trials; ++t) {
-    SwrSketch sketch(2, WindowSpec::Sequence(4),
-                     SwrSketch::Options{.ell = 1, .exact_frobenius = true,
-                                        .seed = 1000 + t});
+    WindowSampler sketch(2, WindowSpec::Sequence(4),
+                         WindowSampler::Options{.ell = 1,
+                                                .exact_frobenius = true,
+                                                .seed = 1000 + t});
     // Older rows beyond the window to exercise expiry too.
     for (int i = 0; i < 8; ++i) {
       std::vector<double> junk{5.0, 0.0};
@@ -72,9 +72,10 @@ TEST(SamplerStats, SwrCovarianceUnbiased) {
 
   Matrix mean(d, d);
   for (size_t rep = 0; rep < reps; ++rep) {
-    SwrSketch sketch(d, WindowSpec::Sequence(w),
-                     SwrSketch::Options{.ell = 4, .exact_frobenius = true,
-                                        .seed = 500 + rep});
+    WindowSampler sketch(d, WindowSpec::Sequence(w),
+                         WindowSampler::Options{.ell = 4,
+                                                .exact_frobenius = true,
+                                                .seed = 500 + rep});
     for (size_t i = 0; i < rows.size(); ++i) sketch.Update(rows[i], i);
     Matrix b = sketch.Query();
     for (size_t i = 0; i < b.rows(); ++i) {
@@ -96,10 +97,12 @@ class CandidateCountProperty
 TEST_P(CandidateCountProperty, NearLogarithmicBounds) {
   const auto [window, spread] = GetParam();
   const size_t ell = 8;
-  SwrSketch swr(3, WindowSpec::Sequence(window),
-                SwrSketch::Options{.ell = ell, .seed = 3});
-  SworSketch swor(3, WindowSpec::Sequence(window),
-                  SworSketch::Options{.ell = ell, .seed = 4});
+  WindowSampler swr(3, WindowSpec::Sequence(window),
+                    WindowSampler::Options{.ell = ell, .seed = 3});
+  WindowSampler swor(
+      3, WindowSpec::Sequence(window),
+      WindowSampler::Options{
+          .ell = ell, .scheme = WindowSampler::Scheme::kSwor, .seed = 4});
   Rng rng(5);
   double swr_sum = 0.0, swor_sum = 0.0;
   size_t samples = 0;

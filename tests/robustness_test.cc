@@ -9,8 +9,7 @@
 #include "core/dyadic_interval.h"
 #include "core/factory.h"
 #include "core/logarithmic_method.h"
-#include "core/swor.h"
-#include "core/swr.h"
+#include "core/window_sampler.h"
 #include "eval/cov_err.h"
 #include "eval/harness.h"
 #include "data/synthetic.h"
@@ -84,7 +83,8 @@ TEST(SketchRobustness, SingleRowWindow) {
 TEST(SketchRobustness, VeryLongRunStaysBounded) {
   // 60k updates into a small window: space stays bounded, no drift.
   LmFd lm(4, WindowSpec::Sequence(64), LmFd::Options{.ell = 8});
-  SwrSketch swr(4, WindowSpec::Sequence(64), SwrSketch::Options{.ell = 8});
+  WindowSampler swr(4, WindowSpec::Sequence(64),
+                    WindowSampler::Options{.ell = 8});
   Rng rng(2);
   size_t lm_max = 0, swr_max = 0;
   for (int i = 0; i < 60000; ++i) {
@@ -187,8 +187,10 @@ TEST(GeneratorRobustness, AllGeneratorsAreDeterministic) {
 }
 
 TEST(SworRobustness, EllOneWorks) {
-  SworSketch sketch(3, WindowSpec::Sequence(20),
-                    SworSketch::Options{.ell = 1, .seed = 5});
+  WindowSampler sketch(
+      3, WindowSpec::Sequence(20),
+      WindowSampler::Options{
+          .ell = 1, .scheme = WindowSampler::Scheme::kSwor, .seed = 5});
   Rng rng(6);
   for (int i = 0; i < 100; ++i) sketch.Update(RandomRow(&rng, 3), i);
   EXPECT_EQ(sketch.Query().rows(), 1u);
