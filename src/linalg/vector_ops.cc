@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace swsketch {
@@ -18,6 +19,15 @@ double NormSq(std::span<const double> a) {
   double s = 0.0;
   for (double v : a) s += v * v;
   return s;
+}
+
+double IngestWeight(std::span<const double> row) {
+  const double w = NormSq(row);
+  if (std::isfinite(w)) return w;
+  static Counter* const rejected =
+      MetricScope("ingest").counter("rows_rejected");
+  rejected->Add();
+  return 0.0;
 }
 
 double Norm(std::span<const double> a) { return std::sqrt(NormSq(a)); }

@@ -14,6 +14,12 @@ double Dot(std::span<const double> a, std::span<const double> b);
 /// Squared Euclidean norm.
 double NormSq(std::span<const double> a);
 
+/// The weight a window sketch admits a row with: its squared norm, or 0
+/// when that is not finite (a NaN or infinite entry, or a norm that
+/// overflows), so such a row is handled exactly like an all-zero row.
+/// Each rejected row counts once in ingest.rows_rejected.
+double IngestWeight(std::span<const double> row);
+
 /// Euclidean norm.
 double Norm(std::span<const double> a);
 
