@@ -266,6 +266,8 @@ class DsFd : public SlidingWindowSketch {
 
   FrequentDirections MakeFrameFd() const;
   Frame& OpenFrame(double ts);
+  /// Whether a row at `ts` appended to `frame` closes it (see Update).
+  bool CutsFrame(const Frame& frame, double ts) const;
   void NoteRowNorm(double norm_sq);
   void Expire(double now);
   void EvictFrontSnapshots(double window_start);

@@ -2,6 +2,8 @@
 #include "core/dump_snapshot.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -125,6 +127,40 @@ TEST(DsFdTest, UpdateBatchMatchesSerialInNarrowRegime) {
   serial.Serialize(&wa);
   batched.Serialize(&wb);
   EXPECT_EQ(wa.bytes(), wb.bytes());
+}
+
+// Rows sharing one timestamp never cut a frame, also where the window
+// extent is below that timestamp's ulp (Start(ts) == ts): the sketch must
+// keep the footprint and answer of the same rows at ts = 1000 instead of
+// opening one frame per row, on the per-row and the batch path.
+TEST(DsFdTest, SharedHugeTimestampKeepsTheFootprint) {
+  const size_t d = 8;
+  for (const size_t n : {500, 1000, 2000}) {
+    for (const double ts : {1.7e308, std::numeric_limits<double>::infinity()}) {
+      for (const bool batch : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " ts=" << ts << " batch=" << batch);
+        const DsFd::Options opt{.ell = 8};
+        DsFd huge(d, WindowSpec::Time(100.0), opt);
+        DsFd plain(d, WindowSpec::Time(100.0), opt);
+        Rng rng(n);
+        Matrix rows(n, d);
+        for (double& v : rows.Data()) v = rng.Gaussian();
+        if (batch) {
+          huge.UpdateBatch(rows, std::vector<double>(n, ts));
+          plain.UpdateBatch(rows, std::vector<double>(n, 1000.0));
+        } else {
+          for (size_t i = 0; i < n; ++i) {
+            huge.Update(rows.Row(i), ts);
+            plain.Update(rows.Row(i), 1000.0);
+          }
+        }
+        EXPECT_EQ(huge.RowsStored(), plain.RowsStored());
+        EXPECT_LE(huge.RowsStored(), 8 * d);
+        EXPECT_EQ(huge.Query().MaxAbsDiff(plain.Query()), 0.0);
+      }
+    }
+  }
 }
 
 TEST(DsFdTest, SerializeRoundTripIsByteStable) {
