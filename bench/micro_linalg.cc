@@ -63,6 +63,20 @@ BENCHMARK(BM_TridiagEigen)
     ->Arg(128)
     ->Arg(256);
 
+void BM_GramOuter(benchmark::State& state) {
+  // The FD shrink's Gram B B^T at d = 200: n = 32 is an ingest shrink, 64
+  // an LM merge, 200 a DS-FD compress stack.
+  const size_t n = static_cast<size_t>(state.range(0));
+  const Matrix a = RandomMatrix(n, 200, 3);
+  Matrix g;
+  for (auto _ : state) {
+    a.GramOuterInto(&g);
+    benchmark::DoNotOptimize(g.Data().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GramOuter)->Arg(32)->Arg(64)->Arg(200);
+
 void BM_SpectralNormSymmetric(benchmark::State& state) {
   // Evaluation hot path: spectral norm of a d x d Gram difference.
   const size_t d = static_cast<size_t>(state.range(0));

@@ -95,13 +95,17 @@ void BM_DsFdAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_DsFdAppend)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_FdMerge(benchmark::State& state) {
-  // The LM framework's cascade cost: one FD merge.
+void BM_FrequentDirectionsMerge(benchmark::State& state) {
+  // The LM framework's cascade and cold-merge cost at the time-query shape
+  // (d = 200): one FD merge of two sketches fed 256 rows each.
+  constexpr size_t kMergeDim = 200;
   const size_t ell = static_cast<size_t>(state.range(0));
-  auto rows = MakeRows(512, 4);
-  FrequentDirections base(kDim, ell), other(kDim, ell);
+  Rng rng(4);
+  std::vector<double> row(kMergeDim);
+  FrequentDirections base(kMergeDim, ell), other(kMergeDim, ell);
   for (size_t i = 0; i < 512; ++i) {
-    (i % 2 ? base : other).Append(rows[i], i);
+    for (double& v : row) v = rng.Gaussian();
+    (i % 2 ? base : other).Append(row, i);
   }
   for (auto _ : state) {
     FrequentDirections tmp = base;
@@ -109,7 +113,7 @@ void BM_FdMerge(benchmark::State& state) {
     benchmark::DoNotOptimize(tmp);
   }
 }
-BENCHMARK(BM_FdMerge)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_FrequentDirectionsMerge)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_StreamingSworAppend(benchmark::State& state) {
   const size_t ell = static_cast<size_t>(state.range(0));

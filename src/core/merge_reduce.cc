@@ -63,36 +63,17 @@ Matrix TreeReduceQueries(const QueryReduceSpec& spec, size_t dim,
                          std::vector<Matrix> parts, ThreadPool* pool) {
   const size_t m = parts.size();
   if (m == 0) return Matrix(0, dim);
-  if (m == 1) return std::move(parts[0]);
-  const ParallelForOptions opts{.grain = 1, .pool = pool};
-  std::vector<Matrix> nodes((m + 1) / 2, Matrix(0, dim));
-  ParallelFor(
-      nodes.size(),
+  return PairwiseTreeReduce<Matrix>(
+      m,
       [&](size_t p) {
-        nodes[p] = 2 * p + 1 < m
-                       ? CombineQueryPair(spec, dim, parts[2 * p],
-                                          parts[2 * p + 1])
-                       : std::move(parts[2 * p]);
+        return 2 * p + 1 < m
+                   ? CombineQueryPair(spec, dim, parts[2 * p], parts[2 * p + 1])
+                   : std::move(parts[2 * p]);
       },
-      opts);
-  size_t width = nodes.size();
-  while (width > 1) {
-    const size_t next = (width + 1) / 2;
-    ParallelFor(
-        next,
-        [&](size_t p) {
-          if (2 * p + 1 < width) {
-            nodes[2 * p] =
-                CombineQueryPair(spec, dim, nodes[2 * p], nodes[2 * p + 1]);
-          }
-        },
-        opts);
-    // Compact serially: tasks above read nodes[2p + 1], which is exactly
-    // the slot a concurrent compaction of pair p' = 2p + 1 would move.
-    for (size_t p = 1; p < next; ++p) nodes[p] = std::move(nodes[2 * p]);
-    width = next;
-  }
-  return std::move(nodes[0]);
+      [&](Matrix& left, const Matrix& right) {
+        left = CombineQueryPair(spec, dim, left, right);
+      },
+      pool);
 }
 
 }  // namespace swsketch

@@ -24,10 +24,10 @@
 //    CombineQueryPair rejects it.
 //
 // Determinism: CombineQueryPair is a pure function of its operands, and
-// TreeReduceQueries pairs nodes by index exactly like PairwiseTreeReduce
-// (util/parallel.h), the LM merge tree (pairing depends only on the leaf
-// count, never on scheduling), so pool execution is byte-identical to a
-// serial left-to-right evaluation of the same tree.
+// TreeReduceQueries is PairwiseTreeReduce (util/parallel.h), the LM merge
+// tree (pairing depends only on the leaf count, never on scheduling), so
+// pool execution is byte-identical to a serial left-to-right evaluation of
+// the same tree.
 #ifndef SWSKETCH_CORE_MERGE_REDUCE_H_
 #define SWSKETCH_CORE_MERGE_REDUCE_H_
 

@@ -104,12 +104,13 @@ void ParallelForChunks(size_t n,
 /// checks 2p + 1 < leaves); each higher level folds node 2p + 1 into node
 /// 2p with merge(Node& left, const Node& right). The pairing depends only
 /// on the leaf count and each task writes only its own node, so running a
-/// level's tasks on the shared pool is byte-identical to the serial
-/// schedule.
+/// level's tasks on `pool` (nullptr: the shared pool) is byte-identical to
+/// the serial schedule.
 template <typename Node, typename MakeNode, typename Merge>
-Node PairwiseTreeReduce(size_t leaves, MakeNode&& make_node, Merge&& merge) {
+Node PairwiseTreeReduce(size_t leaves, MakeNode&& make_node, Merge&& merge,
+                        ThreadPool* pool = nullptr) {
   SWSKETCH_CHECK_GT(leaves, 0u);
-  const ParallelForOptions opts{.grain = 1};
+  const ParallelForOptions opts{.grain = 1, .pool = pool};
   std::vector<std::optional<Node>> nodes((leaves + 1) / 2);
   ParallelFor(
       nodes.size(), [&](size_t p) { nodes[p].emplace(make_node(p)); }, opts);

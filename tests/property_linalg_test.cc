@@ -4,6 +4,8 @@
 // subspace iteration all agree on the same spectra).
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +13,7 @@
 
 #include "linalg/jacobi_eigen.h"
 #include "linalg/power_iteration.h"
+#include "linalg/simd.h"
 #include "linalg/vector_ops.h"
 #include "linalg/subspace_iteration.h"
 #include "linalg/svd.h"
@@ -180,9 +183,81 @@ TEST_P(FdGramEigenProperty, TridiagIsExactOnFdShapedGrams) {
   }
 }
 
+// Scaling every row by 2^e scales the Gram by exactly 2^(2e). At e = +-450
+// the Gram entries sit near 2^+-900, where the QL rotation radii
+// sqrt(f^2 + g^2) would overflow or underflow without the solver's
+// power-of-two rescaling of T; with it, the spectrum scales with the Gram.
+TEST_P(FdGramEigenProperty, EigenvaluesScaleWithTheGram) {
+  const auto [n, seed] = GetParam();
+  for (FdBuffer kind : {FdBuffer::kRandom, FdBuffer::kShrunkPlusNew,
+                        FdBuffer::kRankDeficient}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const Matrix rows = FdBufferRows(kind, n, seed);
+    const std::vector<double> base = TridiagEigen(rows.GramOuter()).eigenvalues;
+    const double norm = base[0];
+    ASSERT_GT(norm, 0.0);
+    for (int e : {450, -450}) {
+      SCOPED_TRACE(e);
+      Matrix scaled = rows;
+      for (double& v : scaled.Data()) v = std::ldexp(v, e);
+      const std::vector<double> got =
+          TridiagEigen(scaled.GramOuter()).eigenvalues;
+      ASSERT_EQ(got.size(), n);
+      for (size_t c = 0; c < n; ++c) {
+        ASSERT_TRUE(std::isfinite(got[c])) << "c=" << c;
+        EXPECT_LE(std::fabs(std::ldexp(got[c], -2 * e) - base[c]),
+                  1e-12 * norm)
+            << "c=" << c;
+      }
+    }
+  }
+}
+
+// The shrink kernels have one source compiled for the baseline ISA and as
+// an AVX2 clone (linalg/simd.h); the library runs the best one the CPU
+// has. Both must return the same bits, or results would depend on the
+// host.
+TEST_P(FdGramEigenProperty, BaselineAndAvx2ClonesAgreeBitwise) {
+  if (!simd::Supported(simd::Target::kAvx2)) {
+    GTEST_SKIP() << "this CPU has no AVX2";
+  }
+  const auto [n, seed] = GetParam();
+  for (FdBuffer kind : {FdBuffer::kRandom, FdBuffer::kShrunkPlusNew,
+                        FdBuffer::kRankDeficient}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const Matrix rows = FdBufferRows(kind, n, seed);
+    Matrix gram[2];
+    SymmetricEigenScratch scratch[2];
+    const SymmetricEigen* eig[2];
+    const simd::Target targets[2] = {simd::Target::kBaseline,
+                                     simd::Target::kAvx2};
+    for (int t = 0; t < 2; ++t) {
+      simd::GramOuterInto(rows, &gram[t], targets[t]);
+      eig[t] = &simd::TridiagEigen(gram[t], &scratch[t], targets[t]);
+    }
+    const auto bytes_equal = [](std::span<const double> x,
+                                std::span<const double> y) {
+      return x.size() == y.size() &&
+             std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
+    };
+    EXPECT_TRUE(bytes_equal(gram[0].Data(), gram[1].Data())) << "Gram";
+    EXPECT_TRUE(bytes_equal(eig[0]->eigenvalues, eig[1]->eigenvalues))
+        << "eigenvalues";
+    EXPECT_TRUE(bytes_equal(eig[0]->eigenvectors.Data(),
+                            eig[1]->eigenvectors.Data()))
+        << "eigenvectors";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(FdSizes, FdGramEigenProperty,
                          ::testing::Combine(::testing::Range<size_t>(2, 33),
                                             ::testing::Values(5u, 6u)));
+// The LM merge (2 ell rows), DS-FD frame and compress-stack sizes.
+INSTANTIATE_TEST_SUITE_P(
+    MergeSizes, FdGramEigenProperty,
+    ::testing::Combine(::testing::Values<size_t>(33, 48, 63, 64, 65, 96, 128,
+                                                 200),
+                       ::testing::Values(5u, 6u)));
 
 class MatrixAlgebraProperty
     : public ::testing::TestWithParam<std::tuple<size_t, size_t, uint64_t>> {

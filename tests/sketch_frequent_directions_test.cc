@@ -11,6 +11,7 @@
 #include "eval/cov_err.h"
 #include "linalg/power_iteration.h"
 #include "linalg/svd.h"
+#include "linalg/tridiag_eigen.h"
 #include "util/random.h"
 
 namespace swsketch {
@@ -322,6 +323,85 @@ TEST(FrequentDirectionsTest, BufferedGramEigenKeepsShedMassBound) {
                 (1.0 + 1e-9));
   const double err = AbsCovErr(a, fd.Approximation());
   EXPECT_LE(err, fd.shed_mass() * (1.0 + 1e-9) + 1e-9);
+}
+
+// Every row a shrink keeps must carry real mass. The rank-th direction,
+// where lambda = sigma^2 itself, has sigma^2 - lambda = 0; if the build
+// fuses sigma * sigma - lambda into one FMA, that difference becomes the
+// rounding error of sigma^2 (~4e-16 relative) and a zero row survives,
+// taking a slot of the row budget.
+TEST(FrequentDirectionsTest, ShrinkKeepsNoNearZeroRows) {
+  constexpr size_t kD = 200;
+  constexpr size_t kEll = 32;
+  Matrix a = RandomMatrix(400, kD, 21);
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < kD; ++j) a(i, j) *= std::pow(0.97, j);
+  }
+  FrequentDirections fd(kD, kEll);
+  size_t checked = 0;
+  for (size_t i = 0; i < a.rows(); ++i) {
+    double lambda_max = 0.0;
+    if (fd.RowsStored() == fd.buffer_capacity()) {
+      lambda_max = TridiagEigen(fd.Approximation().GramOuter()).eigenvalues[0];
+    }
+    const size_t shrinks = fd.shrink_count();
+    fd.Append(a.Row(i), i);
+    if (fd.shrink_count() == shrinks) continue;
+    // The shrink ran before row i went in: all rows but the last survived.
+    const Matrix b = fd.Approximation();
+    for (size_t r = 0; r + 1 < b.rows(); ++r) {
+      const auto row = b.Row(r);
+      double norm_sq = 0.0;
+      for (double v : row) norm_sq += v * v;
+      EXPECT_GT(norm_sq, 1e-12 * lambda_max)
+          << "shrink " << fd.shrink_count() << ", row " << r << " of "
+          << b.rows();
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 20u);
+}
+
+// Scaling every input row by 2^e scales B^T B by exactly 2^(2e) in exact
+// arithmetic. At e = +-450 the shrink's Gram sits near 2^+-900, where the
+// eigensolver's rotation radii would overflow or underflow without its
+// power-of-two rescaling; Append and MergeWith must stay equivariant
+// there, on both the wide (d = 200) and the tall (d = 8 merge) route.
+TEST(FrequentDirectionsTest, AppendAndMergeAreScaleEquivariant) {
+  for (size_t d : {size_t{8}, size_t{200}}) {
+    const size_t ell = d == 8 ? 6 : 32;
+    const Matrix a = RandomMatrix(300, d, 31 + d);
+    const auto sketch = [&](int e, size_t begin, size_t end) {
+      FrequentDirections fd(d, ell);
+      std::vector<double> row(d);
+      for (size_t i = begin; i < end; ++i) {
+        for (size_t j = 0; j < d; ++j) row[j] = std::ldexp(a(i, j), e);
+        fd.Append(row, i);
+      }
+      return fd;
+    };
+    // ||2^(-2e) B_e^T B_e - B^T B||_F / ||B^T B||_F.
+    const auto distance = [](const FrequentDirections& scaled, int e,
+                             const FrequentDirections& unit) {
+      Matrix back = scaled.Approximation().Gram();
+      for (double& v : back.Data()) v = std::ldexp(v, -2 * e);
+      const Matrix want = unit.Approximation().Gram();
+      return std::sqrt(back.Subtract(want).FrobeniusNormSq() /
+                       want.FrobeniusNormSq());
+    };
+    FrequentDirections unit = sketch(0, 0, 150);
+    const FrequentDirections unit_other = sketch(0, 150, 300);
+    for (int e : {450, -450}) {
+      SCOPED_TRACE(testing::Message() << "d=" << d << " e=" << e);
+      FrequentDirections scaled = sketch(e, 0, 150);
+      ASSERT_GT(scaled.shrink_count(), 0u);
+      EXPECT_LE(distance(scaled, e, unit), 1e-12) << "Append";
+      FrequentDirections merged = unit;
+      merged.MergeWith(unit_other);
+      scaled.MergeWith(sketch(e, 150, 300));
+      EXPECT_LE(distance(scaled, e, merged), 1e-12) << "MergeWith";
+    }
+  }
 }
 
 TEST(FrequentDirectionsTest, RejectsBadConfig) {
