@@ -179,8 +179,8 @@ TEST(BlockedKernelsTest, ApplyTransposeMatchesNaive) {
 // ---- Bit-compatibility of the fused inner loop across dispatch paths.
 //
 // The kernels promise a pinned per-element accumulation formula per build
-// and host CPU class: when Matrix::FusedKernelsUseFmaChains() — compiled-in
-// AVX2+FMA or the runtime cpuid dispatch — each 4-row group contributes
+// and host CPU class: when Matrix::FusedKernelsUseFmaChains() — the cpuid
+// dispatch found AVX2+FMA — each 4-row group contributes
 // via a nested fma chain (vector lanes and scalar tail associate
 // identically); otherwise plain mul+add. These references replay the
 // active formula element-by-element (std::fma is exact in any build), so
