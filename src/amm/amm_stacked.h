@@ -9,8 +9,8 @@
 //                the product block of the shrunk Gram), dump/snapshot
 //                ladder handles the window boundary.
 //   amm-lm-fd  — LogarithmicMethod<FrequentDirections> underlying: the
-//                paper's LM block lifecycle, EH norm levels, merge caches
-//                and shared shrink scratch, all at the stacked dimension.
+//                paper's LM block lifecycle, EH norm levels and merge
+//                caches, all at the stacked dimension.
 //   amm-di-fd  — DyadicInterval<FrequentDirections> underlying (sequence
 //                windows only), dyadic cover over stacked FD blocks.
 //

@@ -21,20 +21,98 @@ FrobeniusTracker MakeTracker(const DsFd::Options& options) {
                           options.frobenius_eps);
 }
 
+// Reusable workspace of the signed-stack projection: one per thread
+// (ProjectWindow's thread_local), safe for the reasons the FD shrink
+// workspace is (frequent_directions.cc).
+struct CompressScratch {
+  Matrix stack;                  // Stacked signed rows (m x d).
+  std::vector<double> signs;     // +1 / -1 per stacked row.
+  Matrix gram;                   // A = S S^T (m x m).
+  SymmetricEigenScratch eigen_a;
+  Matrix restricted;             // M (r x r).
+  SymmetricEigenScratch eigen_m;
+  Matrix coeff;                  // Output coefficients (rows x r).
+  Matrix basis;                  // Y = W_r^T S (r x d).
+};
+
+// Emits the best rank-<=max_rows PSD approximation of
+// sum_a signs[a] * stack_a^T stack_a restricted to the stack's row span,
+// dropping eigenvalues past the numerical rank. Deterministic.
+Matrix CompressSigned(CompressScratch& s, size_t dim, size_t max_rows) {
+  const Matrix& stack = s.stack;
+  const size_t m = stack.rows();
+  if (m == 0 || max_rows == 0) return Matrix(0, dim);
+  SWSKETCH_CHECK_EQ(s.signs.size(), m);
+
+  // A = S S^T, the m x m row-space Gram (never a d x d system).
+  stack.GramOuterInto(&s.gram);
+  const SymmetricEigen& ea = TridiagEigen(s.gram, &s.eigen_a);
+  // Same numerical rank as the FD shrink, so degenerate stacks retain the
+  // same directions as the sketches they came from.
+  const size_t r = NumericalRank(ea);
+  if (r == 0) return Matrix(0, dim);
+
+  // Restricted signed target M = Q (S^T J S) Q^T for the orthonormal
+  // row-span basis Q = Lambda^{-1/2} W^T S, which collapses to
+  // M_{bc} = sqrt(lambda_b lambda_c) sum_a J_a W_{ab} W_{ac}.
+  s.restricted.ResetShape(r, r);
+  s.restricted.SetZero();
+  for (size_t a = 0; a < m; ++a) {
+    const double ja = s.signs[a];
+    for (size_t b = 0; b < r; ++b) {
+      const double coef = ja * ea.eigenvectors(a, b);
+      if (coef == 0.0) continue;
+      for (size_t c = b; c < r; ++c) {
+        s.restricted(b, c) += coef * ea.eigenvectors(a, c);
+      }
+    }
+  }
+  for (size_t b = 0; b < r; ++b) {
+    const double sb = std::sqrt(ea.eigenvalues[b]);
+    for (size_t c = b; c < r; ++c) {
+      s.restricted(b, c) *= sb * std::sqrt(ea.eigenvalues[c]);
+    }
+  }
+  s.restricted.MirrorUpperToLower();
+
+  // M is indefinite; its numerical rank counts only the positive head.
+  const SymmetricEigen& em = TridiagEigen(s.restricted, &s.eigen_m);
+  const size_t k = std::min(NumericalRank(em), max_rows);
+  if (k == 0) return Matrix(0, dim);
+
+  // Y = W_r^T S re-expresses the basis in R^d; output row j is
+  // sqrt(sigma_j) u_j^T Q = sum_b (sqrt(sigma_j) U_{bj} / sqrt(lambda_b))
+  // y_b, assembled as one k x r by r x d multiply.
+  s.coeff.ResetShape(r, m);
+  for (size_t b = 0; b < r; ++b) {
+    for (size_t a = 0; a < m; ++a) s.coeff(b, a) = ea.eigenvectors(a, b);
+  }
+  s.coeff.MultiplyRowsInto(stack, 0, &s.basis);  // basis = W_r^T S.
+  s.coeff.ResetShape(k, r);
+  for (size_t j = 0; j < k; ++j) {
+    const double sj = std::sqrt(em.eigenvalues[j]);
+    for (size_t b = 0; b < r; ++b) {
+      s.coeff(j, b) =
+          sj * em.eigenvectors(b, j) / std::sqrt(ea.eigenvalues[b]);
+    }
+  }
+  Matrix out;
+  s.coeff.MultiplyRowsInto(s.basis, 0, &out);
+  return out;
+}
+
 }  // namespace
 
 DsFd::DsFd(size_t dim, WindowSpec window, Options options)
     : DsFd(dim, window, options,
-           MetricSet(MetricScope(MetricScope::Slug("DS-FD"))),
-           FrequentDirections::MakeShrinkScratch()) {}
+           MetricSet(MetricScope(MetricScope::Slug("DS-FD")))) {}
 
 DsFd::DsFd(size_t dim, WindowSpec window, Options options,
-           const MetricSet& metrics, std::shared_ptr<FdShrinkScratch> scratch)
+           const MetricSet& metrics)
     : dim_(dim),
       window_(window),
       options_(options),
       metrics_(metrics),
-      fd_scratch_(std::move(scratch)),
       tracker_(MakeTracker(options)) {
   SWSKETCH_CHECK_GE(options_.ell, 2u);
   SWSKETCH_CHECK_GE(options_.fd_buffer_factor, 1.0);
@@ -96,10 +174,8 @@ FrequentDirections DsFd::MakeFrameFd() const {
 }
 
 DsFd::Frame& DsFd::OpenFrame(double ts) {
-  FrequentDirections fd = MakeFrameFd();
-  if (fd_scratch_) fd.ShareShrinkScratch(fd_scratch_);
   frames_.push_back(
-      Frame{.fd = std::move(fd), .birth = ts, .last = ts, .snapshots = {}});
+      Frame{.fd = MakeFrameFd(), .birth = ts, .last = ts, .snapshots = {}});
   metrics_.frames_opened->Add();
   metrics_.live_frames->Add(1);
   return frames_.back();
@@ -322,7 +398,7 @@ Matrix DsFd::Query() {
 
 Matrix DsFd::ProjectWindow() {
   const double start = window_.Start(now_);
-  CompressScratch& s = EnsureCompress();
+  thread_local CompressScratch s;
   s.stack.ResetShape(0, dim_);
   s.signs.clear();
   size_t total = 0;
@@ -355,76 +431,7 @@ Matrix DsFd::ProjectWindow() {
     }
   }
 
-  return CompressSigned(options_.ell);
-}
-
-DsFd::CompressScratch& DsFd::EnsureCompress() {
-  if (!compress_) compress_ = std::make_unique<CompressScratch>();
-  return *compress_;
-}
-
-Matrix DsFd::CompressSigned(size_t max_rows) {
-  CompressScratch& s = *compress_;
-  const Matrix& stack = s.stack;
-  const size_t m = stack.rows();
-  if (m == 0 || max_rows == 0) return Matrix(0, dim_);
-  SWSKETCH_CHECK_EQ(s.signs.size(), m);
-
-  // A = S S^T, the m x m row-space Gram (never a d x d system).
-  stack.GramOuterInto(&s.gram);
-  const SymmetricEigen& ea = TridiagEigen(s.gram, &s.eigen_a);
-  // Same numerical rank as the FD shrink, so degenerate stacks retain the
-  // same directions as the sketches they came from.
-  const size_t r = NumericalRank(ea);
-  if (r == 0) return Matrix(0, dim_);
-
-  // Restricted signed target M = Q (S^T J S) Q^T for the orthonormal
-  // row-span basis Q = Lambda^{-1/2} W^T S, which collapses to
-  // M_{bc} = sqrt(lambda_b lambda_c) sum_a J_a W_{ab} W_{ac}.
-  s.restricted.ResetShape(r, r);
-  s.restricted.SetZero();
-  for (size_t a = 0; a < m; ++a) {
-    const double ja = s.signs[a];
-    for (size_t b = 0; b < r; ++b) {
-      const double coef = ja * ea.eigenvectors(a, b);
-      if (coef == 0.0) continue;
-      for (size_t c = b; c < r; ++c) {
-        s.restricted(b, c) += coef * ea.eigenvectors(a, c);
-      }
-    }
-  }
-  for (size_t b = 0; b < r; ++b) {
-    const double sb = std::sqrt(ea.eigenvalues[b]);
-    for (size_t c = b; c < r; ++c) {
-      s.restricted(b, c) *= sb * std::sqrt(ea.eigenvalues[c]);
-    }
-  }
-  s.restricted.MirrorUpperToLower();
-
-  // M is indefinite; its numerical rank counts only the positive head.
-  const SymmetricEigen& em = TridiagEigen(s.restricted, &s.eigen_m);
-  const size_t k = std::min(NumericalRank(em), max_rows);
-  if (k == 0) return Matrix(0, dim_);
-
-  // Y = W_r^T S re-expresses the basis in R^d; output row j is
-  // sqrt(sigma_j) u_j^T Q = sum_b (sqrt(sigma_j) U_{bj} / sqrt(lambda_b))
-  // y_b, assembled as one k x r by r x d multiply.
-  s.coeff.ResetShape(r, m);
-  for (size_t b = 0; b < r; ++b) {
-    for (size_t a = 0; a < m; ++a) s.coeff(b, a) = ea.eigenvectors(a, b);
-  }
-  s.coeff.MultiplyRowsInto(stack, 0, &s.basis);  // basis = W_r^T S.
-  s.coeff.ResetShape(k, r);
-  for (size_t j = 0; j < k; ++j) {
-    const double sj = std::sqrt(em.eigenvalues[j]);
-    for (size_t b = 0; b < r; ++b) {
-      s.coeff(j, b) =
-          sj * em.eigenvectors(b, j) / std::sqrt(ea.eigenvalues[b]);
-    }
-  }
-  Matrix out;
-  s.coeff.MultiplyRowsInto(s.basis, 0, &out);
-  return out;
+  return CompressSigned(s, dim_, options_.ell);
 }
 
 void DsFd::Serialize(ByteWriter* writer) const {
@@ -483,7 +490,6 @@ Status DsFd::LoadState(ByteReader* reader) {
     auto fd = FrequentDirections::Deserialize(reader);
     if (!fd.ok()) return fd.status();
     if (!fd->SameConfig(like)) return corrupt();
-    if (fd_scratch_) fd->ShareShrinkScratch(fd_scratch_);
     Frame frame{.fd = std::move(fd.take()), .birth = birth, .last = last,
                 .mass = mass, .mass_since_snapshot = since,
                 .frozen = frozen != 0, .snapshots = {}};

@@ -55,13 +55,11 @@
 #define SWSKETCH_CORE_DUMP_SNAPSHOT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/frobenius_tracker.h"
 #include "core/sliding_window_sketch.h"
-#include "linalg/jacobi_eigen.h"
 #include "sketch/frequent_directions.h"
 #include "util/metrics.h"
 #include "util/serialize.h"
@@ -164,11 +162,9 @@ class DsFd : public SlidingWindowSketch {
   DsFd(size_t dim, WindowSpec window, Options options);
 
   /// Mass-construction overload (SketchPrototype): pre-resolved metric
-  /// handles and a shared FD shrink scratch instead of per-instance
-  /// registry probes and arena churn. All sharers must run one thread at
-  /// a time (the TenantManager contract).
+  /// handles instead of per-instance registry probes.
   DsFd(size_t dim, WindowSpec window, Options options,
-       const MetricSet& metrics, std::shared_ptr<FdShrinkScratch> scratch);
+       const MetricSet& metrics);
 
   // Move-only: the destructor settles the live gauges for whatever this
   // instance still holds, and moving leaves the source's frames_ empty
@@ -251,19 +247,6 @@ class DsFd : public SlidingWindowSketch {
     std::vector<Snapshot> snapshots;  // ts-ascending.
   };
 
-  // Reusable workspace of the signed-stack projection (and snapshot
-  // truncation, which is the all-positive special case).
-  struct CompressScratch {
-    Matrix stack;                  // Stacked signed rows (m x d).
-    std::vector<double> signs;     // +1 / -1 per stacked row.
-    Matrix gram;                   // A = S S^T (m x m).
-    SymmetricEigenScratch eigen_a;
-    Matrix restricted;             // M (r x r).
-    SymmetricEigenScratch eigen_m;
-    Matrix coeff;                  // Output coefficients (rows x r).
-    Matrix basis;                  // Y = W_r^T S (r x d).
-  };
-
   FrequentDirections MakeFrameFd() const;
   Frame& OpenFrame(double ts);
   /// Whether a row at `ts` appended to `frame` closes it (see Update).
@@ -274,16 +257,11 @@ class DsFd : public SlidingWindowSketch {
   void ThinLadder(Frame& frame, double spacing);
   double SnapshotSpacing() const;
   void DumpSnapshot(Frame& frame, double ts);
-  CompressScratch& EnsureCompress();
 
   // Cold Query() path: stacks every frame's FD approximation, subtracts
-  // the straddling frame's newest expired snapshot, and projects.
+  // the straddling frame's newest expired snapshot, and projects
+  // (CompressSigned in dump_snapshot.cc).
   Matrix ProjectWindow();
-
-  // Emits the best rank-<=max_rows PSD approximation of
-  // sum_a signs[a] * stack_a^T stack_a restricted to the stack's row
-  // span, dropping eigenvalues past the numerical rank. Deterministic.
-  Matrix CompressSigned(size_t max_rows);
 
   size_t dim_;
   WindowSpec window_;
@@ -296,8 +274,6 @@ class DsFd : public SlidingWindowSketch {
   size_t frame_capacity_ = 0;
   size_t ladder_k_ = 0;
   MetricSet metrics_;
-  std::shared_ptr<FdShrinkScratch> fd_scratch_;
-  std::unique_ptr<CompressScratch> compress_;  // Lazy, stable address.
 
   std::vector<Frame> frames_;  // Oldest first; back() may be active.
   FrobeniusTracker tracker_;

@@ -18,28 +18,20 @@ size_t LevelEll(size_t level, size_t num_levels, size_t ell_top,
 }  // namespace
 
 DiFd::DiFd(size_t dim, Options options)
-    : DiFd(dim, options, MetricSet(MetricScope(MetricScope::Slug("DI-FD"))),
-           FrequentDirections::MakeShrinkScratch()) {}
+    : DiFd(dim, options, MetricSet(MetricScope(MetricScope::Slug("DI-FD")))) {}
 
-DiFd::DiFd(size_t dim, Options options, const MetricSet& metrics,
-           std::shared_ptr<FdShrinkScratch> scratch)
+DiFd::DiFd(size_t dim, Options options, const MetricSet& metrics)
     : DyadicInterval<FrequentDirections>(
           dim,
           DyadicIntervalOptions{.levels = options.levels,
                                 .window_size = options.window_size,
                                 .max_norm_sq = options.max_norm_sq},
-          // All levels share one shrink arena (sized once by the largest
-          // level ell): level sketches are advanced sequentially by the
-          // owning thread, so the shared workspace never sees concurrent
-          // shrinks.
-          [dim, options, scratch = std::move(scratch)](size_t level) {
-            FrequentDirections fd(
+          [dim, options](size_t level) {
+            return FrequentDirections(
                 dim, FrequentDirections::Options{
                          .ell = LevelEll(level, options.levels,
                                          options.ell_top, options.ell_min),
                          .buffer_factor = options.fd_buffer_factor});
-            fd.ShareShrinkScratch(scratch);
-            return fd;
           },
           "DI-FD", metrics),
       di_options_(options) {}

@@ -421,7 +421,6 @@ class DyadicInterval : public SlidingWindowSketch {
       auto sketch = SketchT::Deserialize(reader);
       if (!sketch.ok()) return sketch.status();
       if (!sketch->SameConfig(fresh.sketch)) return corrupt();
-      ShareLoadedBlockScratch(&*sketch, fresh.sketch);
       actives.push_back(Active{sketch.take(), st, et, started != 0});
     }
     if (!reader->Get(&count) || count != levels_.size()) return corrupt();
@@ -442,7 +441,6 @@ class DyadicInterval : public SlidingWindowSketch {
         auto sketch = SketchT::Deserialize(reader);
         if (!sketch.ok()) return sketch.status();
         if (!sketch->SameConfig(actives_[li].sketch)) return corrupt();
-        ShareLoadedBlockScratch(&*sketch, actives_[li].sketch);
         levels[li].push_back(Block(sketch.take(), begin, end, st, et));
       }
     }
@@ -628,11 +626,8 @@ class DiFd : public DyadicInterval<FrequentDirections> {
   DiFd(size_t dim, Options options);
 
   /// Cheap-construction path (core/factory.h SketchPrototype): shares
-  /// pre-resolved metric handles and a caller-owned, non-null shrink
-  /// workspace; the primary constructor resolves its own of both and
-  /// delegates here (the workspace never influences results).
-  DiFd(size_t dim, Options options, const MetricSet& metrics,
-       std::shared_ptr<FdShrinkScratch> scratch);
+  /// pre-resolved metric handles instead of resolving its own.
+  DiFd(size_t dim, Options options, const MetricSet& metrics);
 
   /// Checkpoint/resume of the full sliding-window state: Serialize writes
   /// the wire header core/factory.h reads back, then SerializeCore.

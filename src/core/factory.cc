@@ -278,8 +278,8 @@ Status ReadWireHeader(ByteReader* reader, WireHeader* header) {
 
 Result<std::unique_ptr<SlidingWindowSketch>> MakeSlidingWindowSketch(
     size_t dim, WindowSpec window, const SketchConfig& config) {
-  // A fresh prototype per sketch: its FD shrink workspace is never shared
-  // with another heap sketch (ShardedSketch drives one per writer thread).
+  // A one-instance prototype: the same construction path as the arena's
+  // (ShardedSketch drives one such sketch per writer thread).
   auto proto = SketchPrototype::Make(dim, window, config);
   if (!proto.ok()) return proto.status();
   return proto->Construct();
@@ -349,8 +349,8 @@ Result<SketchPrototype> SketchPrototype::Dispatch(size_t dim,
   if (config.ell == 0) return Status::InvalidArgument("ell must be positive");
   const std::string& a = config.algorithm;
   // One branch per algorithm: validate the fields it reads, then resolve
-  // its options, metric handles and FD shrink workspace once. Every
-  // instance (placement or heap) is built from these same arguments.
+  // its options and metric handles once. Every instance (placement or
+  // heap) is built from these same arguments.
   if (a == "swr" || a == "swor" || a == "swor-all") {
     if (Status s = CheckFrobeniusEps(config.frobenius_eps); !s.ok()) {
       return s;
@@ -378,8 +378,7 @@ Result<SketchPrototype> SketchPrototype::Dispatch(size_t dim,
                                   .blocks_per_level = config.blocks_per_level,
                                   .block_capacity = config.lm_block_capacity,
                                   .fd_buffer_factor = config.fd_buffer_factor},
-                    LmFd::MetricSet(MetricScope(MetricScope::Slug("LM-FD"))),
-                    FrequentDirections::MakeShrinkScratch());
+                    LmFd::MetricSet(MetricScope(MetricScope::Slug("LM-FD"))));
   }
   if (a == "ds-fd") {
     if (Status s = CheckDsFd(config); !s.ok()) return s;
@@ -392,8 +391,7 @@ Result<SketchPrototype> SketchPrototype::Dispatch(size_t dim,
                       .fd_buffer_factor = config.ds_fd_buffer_factor,
                       .frobenius_eps = config.frobenius_eps,
                       .exact_frobenius = config.exact_frobenius},
-        DsFd::MetricSet(MetricScope(MetricScope::Slug("DS-FD"))),
-        FrequentDirections::MakeShrinkScratch());
+        DsFd::MetricSet(MetricScope(MetricScope::Slug("DS-FD"))));
   }
   if (a == "lm-hash") {
     if (Status s = CheckLm(config); !s.ok()) return s;
@@ -427,8 +425,7 @@ Result<SketchPrototype> SketchPrototype::Dispatch(size_t dim,
                       .max_norm_sq = config.max_norm_sq,
                       .ell_top = config.ell,
                       .fd_buffer_factor = config.fd_buffer_factor},
-        DiFd::MetricSet(MetricScope(MetricScope::Slug("DI-FD"))),
-        FrequentDirections::MakeShrinkScratch());
+        DiFd::MetricSet(MetricScope(MetricScope::Slug("DI-FD"))));
   }
   if (a == "di-rp") {
     if (Status s = CheckDi(window, config, a); !s.ok()) return s;

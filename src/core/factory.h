@@ -109,17 +109,17 @@ Result<std::unique_ptr<SlidingWindowSketch>> DeserializeSlidingWindowSketch(
 
 /// The one construction path: Make() is the only place that maps an
 /// algorithm name to a sketch type, its options and its constructor
-/// arguments. It validates the config, then resolves the options, the
-/// metric-registry handles and one FD shrink workspace ONCE, and stamps
-/// instances from them either into caller-provided storage (ConstructAt,
-/// the TenantManager arena path) or on the heap (Construct;
+/// arguments. It validates the config, then resolves the options and the
+/// metric-registry handles ONCE, and stamps instances from them either
+/// into caller-provided storage (ConstructAt, the TenantManager arena
+/// path) or on the heap (Construct;
 /// MakeSlidingWindowSketch is a one-instance prototype). A multi-tenant
 /// manager constructing 100k identical sketches pays the registry mutex
 /// and name dispatch once here instead of once per tenant.
 ///
-/// Every FD-backed instance of one prototype shares its shrink workspace:
-/// safe while those instances are driven one at a time (the owning
-/// manager guarantees this; the workspace never influences results).
+/// Instances of one prototype may be driven from different threads: the
+/// metric handles they share are atomic, and the FD shrink workspace is
+/// per thread, not per prototype (sketch/frequent_directions.cc).
 ///
 /// The caller owns ConstructAt storage: instance_size() bytes at
 /// instance_align() alignment per instance, destruction via the virtual

@@ -12,29 +12,20 @@ double ResolveCapacity(double requested, size_t ell) {
 
 LmFd::LmFd(size_t dim, WindowSpec window, Options options)
     : LmFd(dim, window, options,
-           MetricSet(MetricScope(MetricScope::Slug("LM-FD"))),
-           FrequentDirections::MakeShrinkScratch()) {}
+           MetricSet(MetricScope(MetricScope::Slug("LM-FD")))) {}
 
 LmFd::LmFd(size_t dim, WindowSpec window, Options options,
-           const MetricSet& metrics,
-           std::shared_ptr<FdShrinkScratch> scratch)
+           const MetricSet& metrics)
     : LogarithmicMethod<FrequentDirections>(
           dim, window,
           LogarithmicMethodOptions{
               .block_capacity =
                   ResolveCapacity(options.block_capacity, options.ell),
               .blocks_per_level = options.blocks_per_level},
-          // Every per-block FD shares one shrink arena: blocks are closed
-          // and queried sequentially on the owning thread, so the shared
-          // workspace is never used concurrently and the steady state
-          // allocates nothing per block.
-          [dim, ell = options.ell, factor = options.fd_buffer_factor,
-           scratch = std::move(scratch)] {
-            FrequentDirections fd(
+          [dim, ell = options.ell, factor = options.fd_buffer_factor] {
+            return FrequentDirections(
                 dim, FrequentDirections::Options{.ell = ell,
                                                  .buffer_factor = factor});
-            fd.ShareShrinkScratch(scratch);
-            return fd;
           },
           "LM-FD", metrics),
       lm_options_(options) {}

@@ -44,7 +44,6 @@
 #include <functional>
 #include <string>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -363,7 +362,6 @@ class LogarithmicMethod : public SlidingWindowSketch {
         auto sketch = SketchT::Deserialize(reader);
         if (!sketch.ok()) return sketch.status();
         if (!sketch->SameConfig(like)) return corrupt();
-        ShareLoadedBlockScratch(&*sketch, like);
         level.push_back(Block{sketch.take(), start, end, mass});
       }
     }
@@ -474,9 +472,6 @@ class LogarithmicMethod : public SlidingWindowSketch {
   // live_scratch_. The pairing depends only on the leaf count, and every
   // pair merge at a tree level is independent, so running a level's merges
   // on the thread pool produces bytes identical to the serial schedule.
-  // FD accumulators detach from the shared shrink arena first: the arena
-  // contents never influence results, but concurrent pair merges must not
-  // share one workspace.
   SketchT MergeLiveBlocks() {
     metrics_.cold_merges->Add();
     const size_t m = live_scratch_.size();
@@ -485,17 +480,10 @@ class LogarithmicMethod : public SlidingWindowSketch {
         m,
         [&](size_t p) {
           SketchT acc = live_scratch_[2 * p]->sketch;
-          DetachScratch(&acc);
           if (2 * p + 1 < m) acc.MergeWith(live_scratch_[2 * p + 1]->sketch);
           return acc;
         },
         [](SketchT& left, const SketchT& right) { left.MergeWith(right); });
-  }
-
-  static void DetachScratch(SketchT* sketch) {
-    if constexpr (std::is_same_v<SketchT, FrequentDirections>) {
-      sketch->ShareShrinkScratch(FrequentDirections::MakeShrinkScratch());
-    }
   }
 
   void Expire(double now) {
@@ -585,11 +573,9 @@ class LmFd : public LogarithmicMethod<FrequentDirections> {
   LmFd(size_t dim, WindowSpec window, Options options);
 
   /// Cheap-construction path (core/factory.h SketchPrototype): shares
-  /// pre-resolved metric handles and a caller-owned, non-null shrink
-  /// workspace; the primary constructor resolves its own of both and
-  /// delegates here (the workspace never influences results).
+  /// pre-resolved metric handles instead of resolving its own.
   LmFd(size_t dim, WindowSpec window, Options options,
-       const MetricSet& metrics, std::shared_ptr<FdShrinkScratch> scratch);
+       const MetricSet& metrics);
 
   /// Checkpoint/resume of the full sliding-window state: Serialize writes
   /// the wire header core/factory.h reads back, then SerializeCore.

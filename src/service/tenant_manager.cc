@@ -1,6 +1,8 @@
 #include "service/tenant_manager.h"
 
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "util/logging.h"
@@ -25,6 +27,16 @@ uint64_t MixKey(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+// InvalidArgument unless `ts` is finite and not older than the tenant's
+// clock.
+Status CheckClock(uint64_t key, double ts, double clock) {
+  if (std::isfinite(ts) && ts >= clock) return Status::OK();
+  return Status::InvalidArgument(
+      "timestamp " + std::to_string(ts) + " for tenant " +
+      std::to_string(key) + " is not finite or is older than the tenant's "
+      "clock " + std::to_string(clock));
 }
 
 }  // namespace
@@ -268,8 +280,12 @@ Status TenantManager::Update(uint64_t key, std::span<const double> row,
                                    std::to_string(dim_));
   }
   const uint32_t slot = FindOrCreateSlot(key);
+  if (Status st = CheckClock(key, ts, tenants_[slot].clock); !st.ok()) {
+    return st;
+  }
   if (Status st = EnsureResident(slot); !st.ok()) return st;
   tenants_[slot].sketch->Update(row, ts);
+  tenants_[slot].clock = ts;
   metrics_.rows_ingested->Add(1);
   Touch(slot);
   Recharge(slot);
@@ -301,9 +317,14 @@ Status TenantManager::UpdateKeyed(std::span<const KeyedRow> rows) {
     if (slot_group_epoch_[slot] != group_epoch_) {
       slot_group_epoch_[slot] = group_epoch_;
       slot_group_[slot] = static_cast<uint32_t>(groups_.size());
-      groups_.push_back(Group{slot, 0, 0});
+      groups_.push_back(Group{slot, 0, 0, tenants_[slot].clock});
     }
     const uint32_t g = slot_group_[slot];
+    if (Status st = CheckClock(rows[i].key, rows[i].ts, groups_[g].clock);
+        !st.ok()) {
+      return st;
+    }
+    groups_[g].clock = rows[i].ts;
     ++groups_[g].count;
     row_group_[i] = g;
   }
@@ -336,6 +357,7 @@ Status TenantManager::UpdateKeyed(std::span<const KeyedRow> rows) {
       group_ts_[j] = kr.ts;
     }
     tenants_[g.slot].sketch->UpdateBatch(group_rows_, group_ts_);
+    tenants_[g.slot].clock = g.clock;
     metrics_.rows_ingested->Add(g.count);
     Touch(g.slot);
     Recharge(g.slot);
@@ -352,8 +374,11 @@ Status TenantManager::CreateTenant(uint64_t key) {
 
 Status TenantManager::AdvanceTo(uint64_t key, double now) {
   const uint32_t slot = FindOrCreateSlot(key);
+  Tenant& t = tenants_[slot];
+  if (Status st = CheckClock(key, now, t.clock); !st.ok()) return st;
   if (Status st = EnsureResident(slot); !st.ok()) return st;
-  tenants_[slot].sketch->AdvanceTo(now);
+  t.sketch->AdvanceTo(now);
+  t.clock = now;
   Touch(slot);
   Recharge(slot);
   EnforceBudget();

@@ -11,9 +11,8 @@
 //    stamped by a core/factory SketchPrototype: creating tenant #100,001
 //    costs one bump-pointer hit plus a placement constructor with
 //    pre-resolved metric handles, instead of a heap allocation plus a
-//    dozen registry lookups. All FD-backed tenants share one shrink
-//    workspace (instances are driven one at a time by the manager's
-//    caller) and the process-wide ThreadPool for cold query merges.
+//    dozen registry lookups. All tenants share the process-wide
+//    ThreadPool for cold query merges.
 //  - UpdateKeyed() groups a batch of keyed rows by tenant (stable, first
 //    touch order, per-key stream order preserved) and forwards each group
 //    through the tenant's UpdateBatch block fast path, amortizing
@@ -94,12 +93,15 @@ class TenantManager {
 
   /// Single-row ingest (the naive per-row path: one lookup + one virtual
   /// dispatch + bookkeeping per row). Creates the tenant on first touch.
+  /// Timestamps, here and in UpdateKeyed and AdvanceTo, are finite and
+  /// never older than the tenant's clock (its newest timestamp, 0 for a
+  /// new tenant); anything else is InvalidArgument.
   Status Update(uint64_t key, std::span<const double> row, double ts);
 
   /// Keyed batch fast path: groups `rows` by tenant and forwards each
   /// group through UpdateBatch. Timestamps must be non-decreasing per key
-  /// (continuing from that tenant's previous rows). Creates tenants on
-  /// first touch.
+  /// (continuing from that tenant's clock). The whole batch is checked
+  /// before any tenant's state changes. Creates tenants on first touch.
   Status UpdateKeyed(std::span<const KeyedRow> rows);
 
   /// Pre-provisions a tenant without feeding rows (idempotent). Exposed
@@ -142,6 +144,7 @@ class TenantManager {
     void* slab = nullptr;
     uint32_t spill_record = SpillRegion::kInvalidRecord;
     uint64_t charged_bytes = 0;
+    double clock = 0.0;  // Newest timestamp seen; kept while spilled.
     uint32_t lru_prev = kNil;
     uint32_t lru_next = kNil;
   };
@@ -233,6 +236,7 @@ class TenantManager {
     uint32_t slot = 0;
     uint32_t count = 0;
     uint32_t offset = 0;
+    double clock = 0.0;  // The tenant's clock after this group's rows.
   };
   std::vector<uint32_t> row_group_;
   std::vector<Group> groups_;

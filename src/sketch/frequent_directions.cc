@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -25,7 +24,6 @@ struct FdMetrics {
   Counter* shrink_route_gram_tall;
   Counter* eigen_route_tridiag;
   Counter* scratch_creates;
-  Counter* scratch_shares;
   Counter* merges;
   Histogram* shrink_ns;
 
@@ -38,7 +36,6 @@ struct FdMetrics {
                        scope.counter("shrink_route_gram_tall"),
                        scope.counter("eigen_route_tridiag"),
                        scope.counter("scratch_creates"),
-                       scope.counter("scratch_shares"),
                        scope.counter("merges"),
                        scope.histogram("shrink_ns")};
     }();
@@ -46,19 +43,29 @@ struct FdMetrics {
   }
 };
 
-}  // namespace
-
 // Everything the Gram-eigen shrink touches between calls. Recycled across
-// shrinks (and across FD instances, when shared) so the steady state does
-// no heap allocation: each member is reshaped in place via ResetShape /
-// assign, which reuse capacity once the largest problem size has been seen.
+// shrinks and across FD instances so the steady state does no heap
+// allocation: each member is reshaped in place via ResetShape / assign,
+// which reuse capacity once the largest problem size has been seen.
+//
+// One workspace per thread (Rebuild's thread_local), created on the
+// thread's first shrink. A workspace is live only inside one Rebuild and
+// Rebuild never re-enters itself, so two shrinks that share it would have
+// to overlap on one thread, which cannot happen: ThreadPool workers run
+// one task at a time, a caller waiting in ParallelFor runs no queued
+// tasks, and a ParallelFor nested in a pool task runs inline
+// (util/parallel.cc). Its contents never influence results.
 struct FdShrinkScratch {
+  FdShrinkScratch() { FdMetrics::Get().scratch_creates->Add(); }
+
   Matrix gram;                  // Small-side Gram: n x n (wide) or d x d.
   SymmetricEigenScratch eigen;  // Symmetric eigensolver workspace.
   Matrix lhs;                   // Retained eigenvectors transposed, k x n.
   Matrix product;               // W^T B staging, k x d.
   std::vector<double> row_tmp;  // Tall-route eigenvector column staging.
 };
+
+}  // namespace
 
 FrequentDirections::FrequentDirections(size_t dim, Options options)
     : FrequentDirections(dim, options, Matrix(0, dim)) {
@@ -77,24 +84,6 @@ FrequentDirections::FrequentDirections(size_t dim, Options options, Matrix b)
       options_.ell,
       static_cast<size_t>(options_.buffer_factor *
                           static_cast<double>(options_.ell)));
-}
-
-std::shared_ptr<FdShrinkScratch> FrequentDirections::MakeShrinkScratch() {
-  return std::make_shared<FdShrinkScratch>();
-}
-
-void FrequentDirections::ShareShrinkScratch(
-    std::shared_ptr<FdShrinkScratch> scratch) {
-  FdMetrics::Get().scratch_shares->Add();
-  scratch_ = std::move(scratch);
-}
-
-FdShrinkScratch* FrequentDirections::shrink_scratch() {
-  if (!scratch_) {
-    FdMetrics::Get().scratch_creates->Add();
-    scratch_ = MakeShrinkScratch();
-  }
-  return scratch_.get();
 }
 
 void FrequentDirections::Append(std::span<const double> row, uint64_t) {
@@ -137,9 +126,10 @@ void FrequentDirections::AppendSparse(const SparseVector& row, uint64_t) {
   SWSKETCH_CHECK_EQ(row.dim(), dim_);
   FdMetrics::Get().appends->Add();
   if (b_.rows() == capacity_) ShrinkWithRank(shrink_rank_);
-  sparse_scratch_.assign(dim_, 0.0);
-  row.AxpyInto(sparse_scratch_);
-  b_.AppendRow(sparse_scratch_);
+  thread_local std::vector<double> dense;  // Per thread, like the shrink's.
+  dense.assign(dim_, 0.0);
+  row.AxpyInto(dense);
+  b_.AppendRow(dense);
   input_mass_ += row.NormSq();
 }
 
@@ -165,7 +155,7 @@ void FrequentDirections::Rebuild(size_t rank, size_t max_rows) {
   const FdMetrics& metrics = FdMetrics::Get();
   metrics.shrinks->Add();
   ScopedTimer timer(metrics.shrink_ns);
-  FdShrinkScratch& s = *shrink_scratch();
+  thread_local FdShrinkScratch s;
   ++shrink_count_;
   const size_t n = b_.rows();
   const size_t d = dim_;

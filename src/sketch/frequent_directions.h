@@ -11,9 +11,10 @@
 // small-side Gram (B B^T when B is wide, n x n with n <= buffer_factor *
 // ell << d) and rebuilds B' = D W^T B directly, where D = diag(sqrt(max(
 // sigma^2 - lambda, 0)) / sigma): O(n^2 d) for the Gram and the product
-// plus O(n^3) for the eigensolve, with no U/V recovery and, via a reusable
-// FdShrinkScratch, no heap allocation in steady state. The eigensolver and
-// the numerical rank are linalg's (TridiagEigen, NumericalRank).
+// plus O(n^3) for the eigensolve, with no U/V recovery and, via one
+// reusable workspace per thread, no heap allocation in steady state. The
+// eigensolver and the numerical rank are linalg's (TridiagEigen,
+// NumericalRank).
 //
 // Amortized shrinking (Desai, Ghashami, Phillips, "Improved Practical
 // Matrix Sketching with Guarantees"): with buffer_factor f > 1 the sketch
@@ -31,11 +32,8 @@
 #define SWSKETCH_SKETCH_FREQUENT_DIRECTIONS_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
-#include <type_traits>
-#include <vector>
 
 #include "linalg/matrix.h"
 #include "linalg/sparse_vector.h"
@@ -44,13 +42,6 @@
 #include "util/status.h"
 
 namespace swsketch {
-
-/// Reusable workspace of the Gram-eigen shrink (Gram buffer, eigensolver
-/// scratch, W^T B staging). Opaque: defined in frequent_directions.cc.
-/// One scratch may be shared by every FD instance driven from a single
-/// thread of execution — LM-FD and DI-FD share one across their per-block
-/// sketches — but must never be used from two threads at once.
-struct FdShrinkScratch;
 
 /// Deterministic Frequent Directions sketch.
 class FrequentDirections : public MatrixSketch {
@@ -138,24 +129,8 @@ class FrequentDirections : public MatrixSketch {
   /// Forces a shrink now (exposed for tests).
   void ShrinkNow();
 
-  /// Builds a fresh shrink workspace. Intended for composite sketches
-  /// (LM-FD, DI-FD) that drive many FD instances from one thread and want
-  /// them to share a single arena via ShareShrinkScratch.
-  static std::shared_ptr<FdShrinkScratch> MakeShrinkScratch();
-
-  /// Replaces this sketch's shrink workspace with `scratch` (shared, not
-  /// copied). The sketch otherwise creates its own lazily on first shrink.
-  /// Sharing is safe only while all sharers run on one thread at a time.
-  void ShareShrinkScratch(std::shared_ptr<FdShrinkScratch> scratch);
-
-  /// Shares `other`'s shrink workspace (see ShareShrinkScratch).
-  void ShareShrinkScratchOf(const FrequentDirections& other) {
-    ShareShrinkScratch(other.scratch_);
-  }
-
   /// Checkpoint/resume: full sketch state (format version 2; version-1
-  /// payloads from before amortized buffering are not readable). The
-  /// shrink scratch is runtime state and is not serialized.
+  /// payloads from before amortized buffering are not readable).
   void Serialize(ByteWriter* writer) const;
   static Result<FrequentDirections> Deserialize(ByteReader* reader);
 
@@ -175,30 +150,15 @@ class FrequentDirections : public MatrixSketch {
   // takes the same Gram-eigen path internally there.
   void Rebuild(size_t rank, size_t max_rows);
 
-  // Lazily creates scratch_ and returns it.
-  FdShrinkScratch* shrink_scratch();
-
   size_t dim_;
   Options options_;
   size_t shrink_rank_;  // Resolved (options_.shrink_rank or ell/2).
   size_t capacity_;     // Resolved buffer rows: max(ell, buffer_factor*ell).
   Matrix b_;            // Exactly the occupied rows (<= capacity_) x dim.
-  std::vector<double> sparse_scratch_;  // Dense staging for AppendSparse.
-  std::shared_ptr<FdShrinkScratch> scratch_;  // Lazy; shareable across FDs.
   size_t shrink_count_ = 0;
   double shed_mass_ = 0.0;
   double input_mass_ = 0.0;
 };
-
-/// For composite sketches (LM, DI) that load their block sketches: a
-/// loaded FD block joins the shrink arena of `like`, a block the
-/// composite's own factory built. A no-op for other block sketch types.
-template <typename SketchT>
-void ShareLoadedBlockScratch(SketchT* loaded, const SketchT& like) {
-  if constexpr (std::is_same_v<SketchT, FrequentDirections>) {
-    loaded->ShareShrinkScratchOf(like);
-  }
-}
 
 }  // namespace swsketch
 

@@ -13,9 +13,14 @@
 // MakeSlidingWindowSketch and a ConstructAt instance in caller storage
 // (the TenantManager slab path), fed the same stream, must agree byte for
 // byte on name(), Query() and SerializeTo().
+//
+// Instances of one prototype may run on different threads: two of them
+// fed from two threads must end byte-identical to twins fed serially.
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,14 +70,21 @@ bool SameBytes(const ByteWriter& a, const ByteWriter& b) {
 }
 
 void IngestRows(SlidingWindowSketch* sketch, size_t n, size_t d,
-                uint64_t seed, double* t) {
+                uint64_t seed, double* t, size_t query_every = 0) {
   Rng rng(seed);
   std::vector<double> row(d);
   for (size_t i = 0; i < n; ++i) {
     for (auto& v : row) v = rng.Gaussian();
     *t += 1.0;
     sketch->Update(row, *t);
+    if (query_every != 0 && (i + 1) % query_every == 0) sketch->Query();
   }
+}
+
+ByteWriter Serialized(const SlidingWindowSketch& sketch) {
+  ByteWriter w;
+  EXPECT_TRUE(sketch.SerializeTo(&w).ok());
+  return w;
 }
 
 TEST(FactoryRoundTripTest, EveryKnownAlgorithmRoundTripsOrDeclines) {
@@ -146,6 +158,47 @@ TEST(FactoryRoundTripTest, EveryKnownAlgorithmRoundTripsOrDeclines) {
   // ds-fd, amm-exact, amm-co-fd, amm-lm-fd, amm-di-fd today) may only
   // grow.
   EXPECT_GE(serializable_count, 11u);
+}
+
+TEST(FactoryRoundTripTest, InstancesOfOnePrototypeRunOnTwoThreads) {
+  const size_t d = 32, rows = 1500, query_every = 100;
+  const WindowSpec window = WindowSpec::Sequence(400);
+  size_t fd_backed = 0;
+  for (const std::string& algo : KnownAlgorithms()) {
+    if (!algo.ends_with("-fd")) continue;
+    SCOPED_TRACE(algo);
+    ++fd_backed;
+    SketchConfig config;
+    config.algorithm = algo;
+    config.ell = 8;
+    config.max_norm_sq = 16.0 * static_cast<double>(d);
+    auto proto = SketchPrototype::Make(d, window, config);
+    ASSERT_TRUE(proto.ok()) << proto.status().ToString();
+
+    std::unique_ptr<SlidingWindowSketch> a = proto->Construct();
+    std::unique_ptr<SlidingWindowSketch> b = proto->Construct();
+    std::thread ta([&] {
+      double t = 0.0;
+      IngestRows(a.get(), rows, d, 41, &t, query_every);
+    });
+    std::thread tb([&] {
+      double t = 0.0;
+      IngestRows(b.get(), rows, d, 43, &t, query_every);
+    });
+    ta.join();
+    tb.join();
+
+    std::unique_ptr<SlidingWindowSketch> twin_a = proto->Construct();
+    std::unique_ptr<SlidingWindowSketch> twin_b = proto->Construct();
+    double t = 0.0;
+    IngestRows(twin_a.get(), rows, d, 41, &t, query_every);
+    t = 0.0;
+    IngestRows(twin_b.get(), rows, d, 43, &t, query_every);
+    EXPECT_TRUE(SameBytes(Serialized(*a), Serialized(*twin_a)));
+    EXPECT_TRUE(SameBytes(Serialized(*b), Serialized(*twin_b)));
+  }
+  // lm-fd, di-fd, ds-fd, amm-co-fd, amm-lm-fd, amm-di-fd.
+  EXPECT_EQ(fd_backed, 6u);
 }
 
 }  // namespace

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/merge_reduce.h"
 #include "sketch/frequent_directions.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace {
@@ -130,16 +132,15 @@ TEST(FdShrinkAllocTest, BufferedSteadyStateShrinkIsAllocationFree) {
   EXPECT_EQ(AllocationsOverShrinks(&fd, rows, 3, &cursor), 0u);
 }
 
-TEST(FdShrinkAllocTest, SharedScratchStaysWarmAcrossInstances) {
-  // LM/DI sharing pattern: a second sketch adopting an already-warm arena
-  // must be allocation-free from its very first steady-state shrink
-  // (after its own buffer warm-up appends).
+TEST(FdShrinkAllocTest, FreshFdOnWarmThreadShrinksWithoutAllocating) {
+  // LM/DI block pattern: the shrink workspace belongs to the thread, so a
+  // second sketch on a thread whose workspace is already warm must be
+  // allocation-free from its very first shrink (after its own buffer
+  // warm-up appends).
   const size_t d = 64, ell = 16;
-  auto scratch = FrequentDirections::MakeShrinkScratch();
   const Matrix rows = RandomMatrix(4 * ell, d, 11);
 
   FrequentDirections warm(d, FrequentDirections::Options{.ell = ell});
-  warm.ShareShrinkScratch(scratch);
   size_t cursor = 0;
   while (warm.shrink_count() < 2) {
     warm.Append(rows.Row(cursor % rows.rows()), cursor);
@@ -147,15 +148,35 @@ TEST(FdShrinkAllocTest, SharedScratchStaysWarmAcrossInstances) {
   }
 
   FrequentDirections fresh(d, FrequentDirections::Options{.ell = ell});
-  fresh.ShareShrinkScratch(scratch);
   // Fill the fresh buffer to one row short of its first shrink, then
-  // measure that shrink: the shared arena is already sized.
+  // measure that shrink: the thread's workspace is already sized.
   size_t cursor2 = 0;
   while (fresh.RowsStored() < fresh.buffer_capacity()) {
     fresh.Append(rows.Row(cursor2 % rows.rows()), cursor2);
     ++cursor2;
   }
   EXPECT_EQ(AllocationsOverShrinks(&fresh, rows, 1, &cursor2), 0u);
+}
+
+// The sharded kFdMerge reduce builds a new FD per combined pair. On a
+// thread that has shrunk before, none of those FDs creates a workspace.
+TEST(FdShrinkAllocTest, FdMergeReduceReusesTheThreadsWorkspace) {
+  const size_t d = 32;
+  const QueryReduceSpec spec{.kind = QueryReduceKind::kFdMerge,
+                             .reduce_ell = 8};
+  const Matrix a = RandomMatrix(8, d, 13);
+  const Matrix b = RandomMatrix(8, d, 17);
+  Counter* creates =
+      MetricsRegistry::Global().GetCounter("fd.scratch_creates");
+  // Warm-up: the thread's first shrink.
+  const Matrix first = CombineQueryPair(spec, d, a, b);
+  const uint64_t creates0 = creates->Value();
+  for (int i = 0; i < 50; ++i) {
+    const Matrix again = CombineQueryPair(spec, d, a, b);
+    ASSERT_EQ(again.rows(), first.rows());
+    EXPECT_EQ(again.MaxAbsDiff(first), 0.0);
+  }
+  EXPECT_EQ(creates->Value(), creates0);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // resident bytes at 100k-tenant scale, and the arena must recycle slots
 // (reserved bytes plateau at the resident high-water mark, not at the
 // tenant count).
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -342,6 +344,64 @@ TEST(TenantManagerTest, ErrorPaths) {
                                     Config("no-such-algo", d));
     EXPECT_FALSE(made.ok());
   }
+}
+
+// A timestamp that is not finite, older than the tenant's clock, or older
+// than an earlier row of the same batch is InvalidArgument, never an
+// abort, and leaves every tenant as it was. The clock lives in the
+// manager, so it also guards a spilled tenant without reloading it.
+TEST(TenantManagerTest, BadTimestampsAreRejectedEvenWhileSpilled) {
+  const size_t d = 3;
+  const SketchConfig config = Config("lm-fd", d);
+  const WindowSpec window = WindowSpec::Time(5.0);
+  TenantManager::Options options;
+  options.metrics_prefix = "tm_bad_timestamps";
+  auto made = TenantManager::Make(d, window, config, options);
+  ASSERT_TRUE(made.ok());
+  auto& manager = *made.value();
+  auto twin = MakeSlidingWindowSketch(d, window, config);
+  ASSERT_TRUE(twin.ok());
+  const Matrix rows = GaussianRows(4, d, 12);
+  const auto invalid = [](const Status& st) {
+    return st.code() == StatusCode::kInvalidArgument;
+  };
+
+  ASSERT_TRUE(manager.Update(1, rows.Row(0), 3.0).ok());
+  (*twin)->Update(rows.Row(0), 3.0);
+  EXPECT_TRUE(invalid(manager.Update(1, rows.Row(1), 1.0)));
+  EXPECT_TRUE(invalid(manager.Update(1, rows.Row(1), std::nan(""))));
+  EXPECT_TRUE(invalid(manager.Update(
+      1, rows.Row(1), std::numeric_limits<double>::infinity())));
+  EXPECT_TRUE(invalid(manager.AdvanceTo(1, 2.0)));
+  ASSERT_TRUE(manager.AdvanceTo(1, 4.0).ok());
+  (*twin)->AdvanceTo(4.0);
+
+  ASSERT_TRUE(manager.EvictTenant(1).ok());
+  EXPECT_TRUE(invalid(manager.Update(1, rows.Row(1), 3.5)));
+  EXPECT_TRUE(invalid(manager.AdvanceTo(1, 3.5)));
+  EXPECT_FALSE(manager.IsResident(1));  // Rejected without a reload.
+
+  // Tenant 1's row is in order, but tenant 2's second row is older than
+  // its first: nothing of the batch lands.
+  std::vector<KeyedRow> batch = {{2, 1.0, rows.Row(1)},
+                                 {1, 4.5, rows.Row(2)},
+                                 {2, 0.5, rows.Row(3)}};
+  EXPECT_TRUE(invalid(manager.UpdateKeyed(batch)));
+  // Tenant 2's rows are in order, but tenant 1 (spilled) is at 4.0.
+  batch = {{2, 1.0, rows.Row(1)}, {1, 3.9, rows.Row(2)}};
+  EXPECT_TRUE(invalid(manager.UpdateKeyed(batch)));
+  EXPECT_FALSE(manager.IsResident(1));
+  auto empty = manager.Query(2);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty.value().rows(), 0u);
+
+  batch = {{1, 4.5, rows.Row(2)}, {1, 4.5, rows.Row(3)}};
+  ASSERT_TRUE(manager.UpdateKeyed(batch).ok());
+  (*twin)->Update(rows.Row(2), 4.5);
+  (*twin)->Update(rows.Row(3), 4.5);
+  auto got = manager.Query(1);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value().MaxAbsDiff((*twin)->Query()), 0.0);
 }
 
 TEST(TenantManagerTest, CreateTenantIsIdempotent) {
