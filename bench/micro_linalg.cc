@@ -77,6 +77,22 @@ void BM_GramOuter(benchmark::State& state) {
 }
 BENCHMARK(BM_GramOuter)->Arg(32)->Arg(64)->Arg(200);
 
+void BM_Gram(benchmark::State& state) {
+  // The tall-route Gram A^T A: 1024 stacked rows (32 LM blocks of 32) at
+  // d = 64, 150 and 300, the d x d Gram FD's MergeAll sums. Time per
+  // multiply-add (1024 d (d + 1) / 2 of them) over BM_TridiagEigen's
+  // time per n^3 is MergeAll's eigensolve weight.
+  const size_t d = static_cast<size_t>(state.range(0));
+  const Matrix a = RandomMatrix(1024, d, 3);
+  Matrix g;
+  for (auto _ : state) {
+    a.GramInto(&g);
+    benchmark::DoNotOptimize(g.Data().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Gram)->Arg(64)->Arg(150)->Arg(300);
+
 void BM_SpectralNormSymmetric(benchmark::State& state) {
   // Evaluation hot path: spectral norm of a d x d Gram difference.
   const size_t d = static_cast<size_t>(state.range(0));

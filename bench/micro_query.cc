@@ -7,7 +7,13 @@
 //     must return byte-identical matrices (asserted here and pinned by
 //     tests/query_cache_test).
 //
-//  2. Multi-reader throughput: one writer ingesting continuously through a
+//  2. Cold LM-FD query over a (d, ell) grid: the latency of one cold
+//     merge of every live block and the route FD's MergeAll took for it
+//     (tall: one d x d shrink; tree: the pairwise MergeWith tree). The
+//     evidence behind MergeAll's op-count route rule (EXPERIMENTS.md
+//     "One-shrink LM cold query"); ungated like the cold cell above.
+//
+//  3. Multi-reader throughput: one writer ingesting continuously through a
 //     ConcurrentSketch while {1, 2, 4} reader threads spin on Query(), in
 //     snapshot mode (readers copy the writer-published snapshot, never
 //     waiting on ingest) versus mutex mode (every reader recomputes under
@@ -20,6 +26,7 @@
 //
 //   ./micro_query [--ell=64] [--d=256] [--rows=20000] [--window=4000]
 //                 [--iters=2000] [--duration_ms=300] [--json=1]
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <iostream>
@@ -33,6 +40,7 @@
 #include "core/logarithmic_method.h"
 #include "eval/report.h"
 #include "util/flags.h"
+#include "util/metrics.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -126,6 +134,42 @@ std::unique_ptr<SlidingWindowSketch> MakeLmFd(size_t d, size_t ell,
   return std::make_unique<LmFd>(d, WindowSpec::Sequence(window), opt);
 }
 
+// Cold-query latency of one LM-FD grid cell: a Sequence(window) LM-FD of
+// about ell Gaussian rows per block, fed window + window / 4 rows, then
+// cold queries until at least `budget_ms` have passed (3 at least).
+// Returns the median latency; *route is the MergeAll route the cold merge
+// took and *live the live blocks it merged.
+double ColdGridCell(size_t d, size_t ell, uint64_t window, double budget_ms,
+                    std::string* route, uint64_t* live) {
+  LmFd::Options opt;
+  opt.ell = ell;
+  opt.block_capacity = static_cast<double>(ell) * static_cast<double>(d);
+  LmFd lm(d, WindowSpec::Sequence(window), opt);
+  Rng rng(d * 1000 + ell);
+  std::vector<double> row(d);
+  for (uint64_t i = 0; i < window + window / 4; ++i) {
+    for (double& v : row) v = rng.Gaussian();
+    lm.Update(row, static_cast<double>(i));
+  }
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Counter* tall = registry.GetCounter("fd.merge_route_tall");
+  Counter* merges = registry.GetCounter("fd.merges");
+  std::vector<double> ns;
+  Timer total;
+  while (ns.size() < 3 || total.ElapsedSeconds() * 1e3 < budget_ms) {
+    const uint64_t tall0 = tall->Value();
+    const uint64_t merges0 = merges->Value();
+    lm.InvalidateQueryCache();
+    Timer t;
+    Matrix b = lm.Query();
+    ns.push_back(static_cast<double>(t.ElapsedNanos()));
+    *route = tall->Value() > tall0 ? "tall" : "tree";
+    *live = merges->Value() - merges0 + 1;
+  }
+  std::nth_element(ns.begin(), ns.begin() + ns.size() / 2, ns.end());
+  return ns[ns.size() / 2];
+}
+
 // One writer ingesting continuously + `readers` threads spinning Query().
 // Returns aggregate reader QPS.
 double RunQps(ConcurrentSketch::Mode mode, size_t readers, const Matrix& rows,
@@ -204,6 +248,28 @@ int main(int argc, char** argv) {
     opt.max_norm_sq = max_norm_sq;
     DiFd di(d, opt);
     BenchWarmCold(&di, rows, "query-di-fd", ell, iters, &cells);
+  }
+
+  {
+    PrintBanner(std::cout, "micro_query: cold LM-FD query grid");
+    Table grid({"d", "ell", "live_blocks", "route", "cold_query_ms"});
+    const struct {
+      size_t d, ell;
+    } kGrid[] = {{35, 16},  {150, 32}, {200, 32}, {231, 16},
+                 {300, 32}, {300, 64}, {1000, 32}};
+    for (const auto& cell : kGrid) {
+      std::string route;
+      uint64_t live = 0;
+      const double cold_ns =
+          ColdGridCell(cell.d, cell.ell, window, 300.0, &route, &live);
+      grid.AddRow({Table::Int(static_cast<long long>(cell.d)),
+                   Table::Int(static_cast<long long>(cell.ell)),
+                   Table::Int(static_cast<long long>(live)), route,
+                   Table::Num(cold_ns * 1e-6)});
+      cells.push_back({"cold-grid-d" + std::to_string(cell.d), cell.ell,
+                       cold_ns, 0.0});
+    }
+    grid.Print(std::cout);
   }
 
   PrintBanner(std::cout, "micro_query: multi-reader QPS (writer + readers)");

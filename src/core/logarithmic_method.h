@@ -27,14 +27,18 @@
 // count pins the set — and the final approximation is additionally keyed
 // on the active-block row identity. A warm query is therefore an O(ell d)
 // copy instead of an O(#blocks) merge chain, bit-identical to the cold
-// path. The cold merge itself runs as a deterministic pairwise reduction
-// tree whose pairing depends only on the leaf count, so executing tree
-// levels on the shared ThreadPool is byte-identical to the serial
-// schedule.
+// path. A sketch type with an n-way SketchT::MergeAll (FD) takes its cold
+// merge from it: FD then folds every live block with one d x d shrink
+// where that costs less than the pairwise tree, and runs the tree itself
+// otherwise. The other types (HASH, RP: merging is addition) run the
+// deterministic pairwise reduction tree PairwiseMergeTree, whose pairing
+// depends only on the leaf count, so executing tree levels on the shared
+// ThreadPool is byte-identical to the serial schedule.
 //
 // SketchT requirements: constructible via the factory callable,
 // Append(span<const double>, uint64_t id), MergeWith(const SketchT&),
-// Approximation() -> Matrix, RowsStored().
+// Approximation() -> Matrix, RowsStored(); optionally
+// static MergeAll(span<const SketchT* const>).
 #ifndef SWSKETCH_CORE_LOGARITHMIC_METHOD_H_
 #define SWSKETCH_CORE_LOGARITHMIC_METHOD_H_
 
@@ -42,6 +46,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -220,7 +225,7 @@ class LogarithmicMethod : public SlidingWindowSketch {
     live_scratch_.clear();
     for (auto level = levels_.rbegin(); level != levels_.rend(); ++level) {
       for (const Block& blk : *level) {
-        if (blk.start >= start) live_scratch_.push_back(&blk);
+        if (blk.start >= start) live_scratch_.push_back(&blk.sketch);
       }
     }
     // Empty window: report an empty approximation rather than a
@@ -468,22 +473,18 @@ class LogarithmicMethod : public SlidingWindowSketch {
     }
   }
 
-  // Deterministic pairwise reduction of the live blocks collected in
-  // live_scratch_. The pairing depends only on the leaf count, and every
-  // pair merge at a tree level is independent, so running a level's merges
-  // on the thread pool produces bytes identical to the serial schedule.
+  // Merge of the live blocks collected in live_scratch_: the sketch
+  // type's n-way MergeAll when it has one, else the deterministic pairwise
+  // tree (bytes identical to the serial schedule on any pool size).
   SketchT MergeLiveBlocks() {
     metrics_.cold_merges->Add();
-    const size_t m = live_scratch_.size();
-    if (m == 0) return factory_();
-    return PairwiseTreeReduce<SketchT>(
-        m,
-        [&](size_t p) {
-          SketchT acc = live_scratch_[2 * p]->sketch;
-          if (2 * p + 1 < m) acc.MergeWith(live_scratch_[2 * p + 1]->sketch);
-          return acc;
-        },
-        [](SketchT& left, const SketchT& right) { left.MergeWith(right); });
+    const std::span<const SketchT* const> parts(live_scratch_);
+    if (parts.empty()) return factory_();
+    if constexpr (requires { SketchT::MergeAll(parts); }) {
+      return SketchT::MergeAll(parts);
+    } else {
+      return PairwiseMergeTree(parts);
+    }
   }
 
   void Expire(double now) {
@@ -545,7 +546,7 @@ class LogarithmicMethod : public SlidingWindowSketch {
   // Query-cache state (never serialized; see DESIGN.md "Query path").
   uint64_t structure_version_ = 0;
   uint64_t mutation_version_ = 0;  // Every Update/AdvanceTo/reload.
-  std::vector<const Block*> live_scratch_;  // Rebuilt by every Query().
+  std::vector<const SketchT*> live_scratch_;  // Rebuilt by every Query().
   // Merged live closed blocks, keyed (structure version, live count).
   VersionedCache<std::tuple<uint64_t, size_t>, SketchT> merge_cache_;
   // Final approximation, keyed additionally on the active-block rows.

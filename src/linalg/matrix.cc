@@ -405,8 +405,14 @@ Matrix Matrix::Gram() const {
 }
 
 void Matrix::GramInto(Matrix* out) const {
+  out->ResetShape(cols_, cols_);
+  AddGramUpperTo(out);
+  out->MirrorUpperToLower();
+}
+
+void Matrix::AddGramUpperTo(Matrix* out) const {
   Matrix& g = *out;
-  g.ResetShape(cols_, cols_);
+  SWSKETCH_CHECK(g.rows_ == cols_ && g.cols_ == cols_);
   if (rows_ == 0 || cols_ == 0) return;
   // Cost of the upper triangle is rows * d * (d + 1) / 2 madds; fan column
   // bands out to the pool when it dwarfs the task overhead. Leading bands
@@ -441,7 +447,6 @@ void Matrix::GramInto(Matrix* out) const {
   } else {
     AccumulateGramUpperBand(*this, &g, 0, cols_);
   }
-  g.MirrorUpperToLower();
 }
 
 Matrix Matrix::GramOuter() const {

@@ -108,6 +108,14 @@ class Matrix {
   /// allocation-free on reuse). `out` must not alias this.
   void GramInto(Matrix* out) const;
 
+  /// Adds the upper triangle of A^T A to *out, a cols x cols matrix,
+  /// leaving its strict lower triangle untouched: summing the Grams of
+  /// several matrices this way and calling MirrorUpperToLower() once gives
+  /// the Gram of their row stack without building it. Same kernel, banding
+  /// and per-entry accumulation order as GramInto (which is ResetShape,
+  /// this, then the mirror). `out` must not alias this.
+  void AddGramUpperTo(Matrix* out) const;
+
   /// A * A^T, a rows x rows symmetric PSD matrix. Each entry is the 4-lane
   /// dot product of linalg/simd.h, computed in 2 x 4 register tiles on the
   /// CPU's best SIMD clone (same bits on every clone).

@@ -279,10 +279,10 @@ Status TenantManager::Update(uint64_t key, std::span<const double> row,
                                    " values, manager dim is " +
                                    std::to_string(dim_));
   }
-  const uint32_t slot = FindOrCreateSlot(key);
-  if (Status st = CheckClock(key, ts, tenants_[slot].clock); !st.ok()) {
-    return st;
-  }
+  // Checked before the tenant exists, so a rejected row creates none.
+  uint32_t slot = FindSlot(key);
+  if (Status st = CheckClock(key, ts, ClockOf(slot)); !st.ok()) return st;
+  if (slot == kNil) slot = FindOrCreateSlot(key);
   if (Status st = EnsureResident(slot); !st.ok()) return st;
   tenants_[slot].sketch->Update(row, ts);
   tenants_[slot].clock = ts;
@@ -296,11 +296,15 @@ Status TenantManager::Update(uint64_t key, std::span<const double> row,
 Status TenantManager::UpdateKeyed(std::span<const KeyedRow> rows) {
   if (rows.empty()) return Status::OK();
   metrics_.keyed_batches->Add(1);
-  // Pass 1: resolve each row's tenant slot once, assigning group ids in
-  // first-touch order. slot_group_epoch_ makes the slot -> group map
-  // batch-local without clearing it between batches.
+  // Pass 1: check every row and assign each its group (one per key, ids
+  // in first-touch order) before any tenant is created or fed, so a
+  // rejected batch changes nothing. A known key maps through its slot
+  // (slot_group_epoch_ makes the slot -> group map batch-local without
+  // clearing it between batches); a key without a tenant maps through
+  // new_key_group_ and gets its slot once the whole batch has passed.
   ++group_epoch_;
   groups_.clear();
+  new_key_group_.clear();
   row_group_.resize(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     if (rows[i].values.size() != dim_) {
@@ -309,24 +313,39 @@ Status TenantManager::UpdateKeyed(std::span<const KeyedRow> rows) {
           std::to_string(rows[i].values.size()) + " values, manager dim is " +
           std::to_string(dim_));
     }
-    const uint32_t slot = FindOrCreateSlot(rows[i].key);
-    if (slot >= slot_group_.size()) {
-      slot_group_.resize(tenants_.size(), 0);
-      slot_group_epoch_.resize(tenants_.size(), 0);
+    const uint64_t key = rows[i].key;
+    const uint32_t slot = FindSlot(key);
+    const auto next = static_cast<uint32_t>(groups_.size());
+    uint32_t g = next;
+    if (slot == kNil) {
+      const auto it = new_key_group_.find(key);
+      if (it == new_key_group_.end()) {
+        new_key_group_.emplace(key, next);
+      } else {
+        g = it->second;
+      }
+    } else {
+      if (slot >= slot_group_.size()) {
+        slot_group_.resize(tenants_.size(), 0);
+        slot_group_epoch_.resize(tenants_.size(), 0);
+      }
+      if (slot_group_epoch_[slot] != group_epoch_) {
+        slot_group_epoch_[slot] = group_epoch_;
+        slot_group_[slot] = next;
+      }
+      g = slot_group_[slot];
     }
-    if (slot_group_epoch_[slot] != group_epoch_) {
-      slot_group_epoch_[slot] = group_epoch_;
-      slot_group_[slot] = static_cast<uint32_t>(groups_.size());
-      groups_.push_back(Group{slot, 0, 0, tenants_[slot].clock});
-    }
-    const uint32_t g = slot_group_[slot];
-    if (Status st = CheckClock(rows[i].key, rows[i].ts, groups_[g].clock);
-        !st.ok()) {
+    if (g == next) groups_.push_back(Group{slot, 0, 0, ClockOf(slot), key});
+    if (Status st = CheckClock(key, rows[i].ts, groups_[g].clock); !st.ok()) {
       return st;
     }
     groups_[g].clock = rows[i].ts;
     ++groups_[g].count;
     row_group_[i] = g;
+  }
+  // The batch is valid: create the new keys' tenants in first-touch order.
+  for (Group& g : groups_) {
+    if (g.slot == kNil) g.slot = FindOrCreateSlot(g.key);
   }
   metrics_.keyed_groups->Add(groups_.size());
   // Prefix-sum the group offsets, then scatter row indices in ascending
@@ -373,9 +392,10 @@ Status TenantManager::CreateTenant(uint64_t key) {
 }
 
 Status TenantManager::AdvanceTo(uint64_t key, double now) {
-  const uint32_t slot = FindOrCreateSlot(key);
+  uint32_t slot = FindSlot(key);
+  if (Status st = CheckClock(key, now, ClockOf(slot)); !st.ok()) return st;
+  if (slot == kNil) slot = FindOrCreateSlot(key);
   Tenant& t = tenants_[slot];
-  if (Status st = CheckClock(key, now, t.clock); !st.ok()) return st;
   if (Status st = EnsureResident(slot); !st.ok()) return st;
   t.sketch->AdvanceTo(now);
   t.clock = now;

@@ -36,6 +36,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/factory.h"
@@ -200,6 +201,11 @@ class TenantManager {
 
   uint32_t FindSlot(uint64_t key) const;     // kNil when absent.
   uint32_t FindOrCreateSlot(uint64_t key);   // Creates resident on miss.
+  // The clock a row for the tenant in `slot` must not precede: a new
+  // tenant's when `slot` is kNil.
+  double ClockOf(uint32_t slot) const {
+    return slot == kNil ? Tenant{}.clock : tenants_[slot].clock;
+  }
   Status EnsureResident(uint32_t slot);      // Lazy bit-stable reload.
   void EvictSlot(uint32_t slot);             // Spill + release slab.
   void EnforceBudget();                      // Evict LRU tail to budget.
@@ -237,12 +243,14 @@ class TenantManager {
     uint32_t count = 0;
     uint32_t offset = 0;
     double clock = 0.0;  // The tenant's clock after this group's rows.
+    uint64_t key = 0;
   };
   std::vector<uint32_t> row_group_;
   std::vector<Group> groups_;
   std::vector<uint32_t> grouped_rows_;
   std::vector<uint32_t> slot_group_;
   std::vector<uint64_t> slot_group_epoch_;
+  std::unordered_map<uint64_t, uint32_t> new_key_group_;  // Key -> group.
   uint64_t group_epoch_ = 0;
   Matrix group_rows_{0, 0};
   std::vector<double> group_ts_;

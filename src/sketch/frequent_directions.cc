@@ -9,6 +9,7 @@
 #include "linalg/vector_ops.h"
 #include "util/logging.h"
 #include "util/metrics.h"
+#include "util/parallel.h"
 
 namespace swsketch {
 
@@ -22,6 +23,8 @@ struct FdMetrics {
   Counter* shrinks;
   Counter* shrink_route_gram_wide;
   Counter* shrink_route_gram_tall;
+  Counter* merge_route_tall;
+  Counter* merge_route_tree;
   Counter* eigen_route_tridiag;
   Counter* scratch_creates;
   Counter* merges;
@@ -34,6 +37,8 @@ struct FdMetrics {
                        scope.counter("shrinks"),
                        scope.counter("shrink_route_gram_wide"),
                        scope.counter("shrink_route_gram_tall"),
+                       scope.counter("merge_route_tall"),
+                       scope.counter("merge_route_tree"),
                        scope.counter("eigen_route_tridiag"),
                        scope.counter("scratch_creates"),
                        scope.counter("merges"),
@@ -64,6 +69,25 @@ struct FdShrinkScratch {
   Matrix product;               // W^T B staging, k x d.
   std::vector<double> row_tmp;  // Tall-route eigenvector column staging.
 };
+
+// Cost of a d x d (or n x n) tridiagonal-QL eigensolve per d^3, in units
+// of one Gram multiply-add: micro_linalg's BM_TridiagEigen over BM_Gram
+// (see EXPERIMENTS.md "One-shrink LM cold query").
+constexpr double kEigenWeight = 5.0;
+
+// MergeAll's route rule: true when one tall shrink of all `rows` stacked
+// rows (the summed d x d Gram, one d x d eigensolve) is predicted to cost
+// less than the pairwise tree's parts - 1 wide 2ell x 2ell shrinks (Gram
+// and W^T B products of 2 ell^2 d each, one 2ell eigensolve).
+bool TallMergeIsCheaper(size_t parts, size_t rows, size_t dim, size_t ell) {
+  const double d = static_cast<double>(dim);
+  const double l = static_cast<double>(ell);
+  const double tall = static_cast<double>(rows) * d * d / 2 +
+                      kEigenWeight * d * d * d;
+  const double tree = static_cast<double>(parts - 1) *
+                      (4 * l * l * d + kEigenWeight * 8 * l * l * l);
+  return tall < tree;
+}
 
 }  // namespace
 
@@ -151,7 +175,9 @@ void FrequentDirections::ShrinkWithRank(size_t rank) {
   Rebuild(rank, capacity_);
 }
 
-void FrequentDirections::Rebuild(size_t rank, size_t max_rows) {
+void FrequentDirections::Rebuild(
+    size_t rank, size_t max_rows,
+    std::span<const FrequentDirections* const> parts) {
   const FdMetrics& metrics = FdMetrics::Get();
   metrics.shrinks->Add();
   ScopedTimer timer(metrics.shrink_ns);
@@ -159,18 +185,25 @@ void FrequentDirections::Rebuild(size_t rank, size_t max_rows) {
   ++shrink_count_;
   const size_t n = b_.rows();
   const size_t d = dim_;
-  const bool wide = n <= d;
+  const bool wide = parts.empty() && n <= d;
   (wide ? metrics.shrink_route_gram_wide : metrics.shrink_route_gram_tall)
       ->Add();
 
   // The spectrum step, shared by both routes. Wide buffer (the streaming
   // steady state): G = B B^T is n x n with n <= capacity << d. Tall buffer
   // (capacity > dim, e.g. merges at small d): G = B^T B is d x d. Either
-  // way eigenvalue i of G is sigma_i^2.
+  // way eigenvalue i of G is sigma_i^2. MergeAll's parts sum into the
+  // d x d Gram of their row stack.
   if (wide) {
     b_.GramOuterInto(&s.gram);
-  } else {
+  } else if (parts.empty()) {
     b_.GramInto(&s.gram);
+  } else {
+    s.gram.ResetShape(d, d);
+    for (const FrequentDirections* part : parts) {
+      part->b_.AddGramUpperTo(&s.gram);
+    }
+    s.gram.MirrorUpperToLower();
   }
   metrics.eigen_route_tridiag->Add();
   const SymmetricEigen& eig = TridiagEigen(s.gram, &s.eigen);
@@ -244,6 +277,36 @@ void FrequentDirections::MergeWith(const FrequentDirections& other) {
   shed_mass_ += other.shed_mass_;
 
   if (b_.rows() > options_.ell) Rebuild(options_.ell + 1, options_.ell);
+}
+
+FrequentDirections FrequentDirections::MergeAll(
+    std::span<const FrequentDirections* const> parts) {
+  SWSKETCH_CHECK(!parts.empty());
+  const FrequentDirections& first = *parts[0];
+  size_t rows = 0;
+  for (const FrequentDirections* part : parts) {
+    SWSKETCH_CHECK_EQ(part->dim_, first.dim_);
+    SWSKETCH_CHECK(part->options_.ell == first.options_.ell);
+    rows += part->b_.rows();
+  }
+  const FdMetrics& metrics = FdMetrics::Get();
+  const size_t ell = first.options_.ell;
+  if (rows <= ell ||
+      !TallMergeIsCheaper(parts.size(), rows, first.dim_, ell)) {
+    metrics.merge_route_tree->Add();
+    return PairwiseMergeTree(parts);
+  }
+  metrics.merge_route_tall->Add();
+  metrics.merges->Add(parts.size() - 1);
+  // Tall route: the first part's copy carries the config and the counters
+  // MergeWith keeps on its left operand; Rebuild replaces its rows.
+  FrequentDirections out = first;
+  for (const FrequentDirections* part : parts.subspan(1)) {
+    out.input_mass_ += part->input_mass_;
+    out.shed_mass_ += part->shed_mass_;
+  }
+  out.Rebuild(ell + 1, ell, parts);
+  return out;
 }
 
 namespace {

@@ -27,7 +27,10 @@
 //
 // Mergeable (Section 6.1): two sketches of equal ell stack and shrink back
 // with sigma_{ell+1}^2 so at most ell rows survive, without exceeding the
-// summed error budgets.
+// summed error budgets. MergeAll folds m sketches at once: either by one
+// shrink of all their rows, which sheds lambda once instead of m - 1
+// times, or by the pairwise MergeWith tree, whichever an op count
+// predicts to be cheaper (see MergeAll).
 #ifndef SWSKETCH_SKETCH_FREQUENT_DIRECTIONS_H_
 #define SWSKETCH_SKETCH_FREQUENT_DIRECTIONS_H_
 
@@ -126,6 +129,26 @@ class FrequentDirections : public MatrixSketch {
   /// dim and ell. Works in place on this sketch's buffer.
   void MergeWith(const FrequentDirections& other);
 
+  /// N-way merge: an FD sketch of the rows of every part stacked, with at
+  /// most ell rows (a single part is returned as is). Requires a non-empty
+  /// span of sketches with matching dim and ell; the result carries the
+  /// first part's config. Two routes, chosen by an op count of dim, ell,
+  /// the part count m and the stacked row count n, never by an option:
+  ///  - tall: sum the d x d Grams B_i^T B_i into the thread's shrink
+  ///    workspace (the rows are never stacked), run one eigensolve and
+  ///    keep at most ell rows with lambda = sigma_{ell+1}^2 — Rebuild's
+  ///    tall branch. Costs about n d^2 / 2 + w d^3 madds, w the eigensolve
+  ///    weight, so it wins when d is small next to the stacked rows;
+  ///  - tree: the PairwiseMergeTree of MergeWith (util/parallel.h),
+  ///    (m - 1) 2ell x 2ell shrinks of about 4 ell^2 d + 8 w ell^3 madds
+  ///    each, byte-identical to merging pairwise by hand. Also taken when
+  ///    n <= ell, where no merge shrinks.
+  /// Either way ||A^T A - B^T B||_2 <= shed_mass(), the parts' shed mass
+  /// plus what the merge sheds, and input_mass() is the parts' sum. Every
+  /// call counts fd.merge_route_tall or fd.merge_route_tree.
+  static FrequentDirections MergeAll(
+      std::span<const FrequentDirections* const> parts);
+
   /// Forces a shrink now (exposed for tests).
   void ShrinkNow();
 
@@ -147,8 +170,12 @@ class FrequentDirections : public MatrixSketch {
   // Rebuilds b_ in place from the shrunk spectrum, keeping at most max_rows
   // rows: small-side Gram eigendecomposition, B' = D W^T B. Matches a
   // ThinSvd-based shrink to ~ulp on the wide (rows <= dim) route: ThinSvd
-  // takes the same Gram-eigen path internally there.
-  void Rebuild(size_t rank, size_t max_rows);
+  // takes the same Gram-eigen path internally there. With `parts`
+  // non-empty the spectrum is that of the parts' rows stacked, read off
+  // the sum of their d x d Grams on the tall route, and b_ is only the
+  // output (MergeAll's tall route).
+  void Rebuild(size_t rank, size_t max_rows,
+               std::span<const FrequentDirections* const> parts = {});
 
   size_t dim_;
   Options options_;

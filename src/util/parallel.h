@@ -19,6 +19,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -129,6 +130,22 @@ Node PairwiseTreeReduce(size_t leaves, MakeNode&& make_node, Merge&& merge,
     width = next;
   }
   return std::move(*nodes[0]);
+}
+
+/// PairwiseTreeReduce over copies of `parts` (non-empty) joined by
+/// Sketch::MergeWith: the merge tree of the LM cold query and of FD's
+/// MergeAll tree route, one definition so both produce the same bytes.
+template <typename Sketch>
+Sketch PairwiseMergeTree(std::span<const Sketch* const> parts) {
+  const size_t m = parts.size();
+  return PairwiseTreeReduce<Sketch>(
+      m,
+      [&](size_t p) {
+        Sketch acc = *parts[2 * p];
+        if (2 * p + 1 < m) acc.MergeWith(*parts[2 * p + 1]);
+        return acc;
+      },
+      [](Sketch& left, const Sketch& right) { left.MergeWith(right); });
 }
 
 /// Bounded single-producer single-consumer hand-off queue. One coordinator

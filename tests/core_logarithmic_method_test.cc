@@ -3,12 +3,18 @@
 #include "core/logarithmic_method.h"
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eval/cov_err.h"
 #include "stream/window_buffer.h"
+#include "util/metrics.h"
+#include "util/parallel.h"
 #include "util/random.h"
+#include "util/serialize.h"
 
 namespace swsketch {
 namespace {
@@ -174,6 +180,112 @@ TEST(LogarithmicMethodTest, ExpiredBlocksAreDropped) {
   for (int i = 1000; i < 2000; ++i) sketch.Update(RandomRow(&rng, d), i);
   // Steady state: block count stays bounded rather than growing linearly.
   EXPECT_LT(sketch.NumBlocks(), blocks_mid + 20);
+}
+
+// The live closed blocks of `lm` in its merge order (highest level
+// first, oldest block first within a level) and its active rows, read back
+// from its checkpoint (LmFd::Serialize, then SerializeCore's layout).
+struct LiveParts {
+  std::vector<FrequentDirections> blocks;
+  Matrix active;
+};
+
+LiveParts ReadLiveParts(const LmFd& lm) {
+  ByteWriter w;
+  lm.Serialize(&w);
+  const std::vector<uint8_t> bytes = w.bytes();
+  ByteReader r(bytes);
+  uint32_t tag = 0, version = 0;
+  uint64_t u = 0, raw = 0, levels = 0;
+  double x = 0.0, now = 0.0;
+  EXPECT_TRUE(r.Get(&tag) && r.Get(&version) && r.Get(&u));
+  const WindowSpec window = WindowSpec::Deserialize(&r).take();
+  // ell, blocks per level, block capacity, FD buffer factor; then the
+  // clock, the next row id and the active block's start, end and mass.
+  EXPECT_TRUE(r.Get(&u) && r.Get(&u) && r.Get(&x) && r.Get(&x));
+  EXPECT_TRUE(r.Get(&now) && r.Get(&u) && r.Get(&x) && r.Get(&x) &&
+              r.Get(&x) && r.Get(&raw));
+  LiveParts out{{}, Matrix(0, lm.dim())};
+  for (uint64_t i = 0; i < raw; ++i) {
+    double ts = 0.0;
+    std::vector<double> values;
+    EXPECT_TRUE(r.Get(&ts) && r.Get(&u) && r.GetVector(&values));
+    out.active.AppendRow(values);
+  }
+  EXPECT_TRUE(r.Get(&levels));
+  std::vector<std::vector<FrequentDirections>> live(levels);
+  for (auto& level : live) {
+    uint64_t blocks = 0;
+    EXPECT_TRUE(r.Get(&blocks));
+    for (uint64_t i = 0; i < blocks; ++i) {
+      double start = 0.0;
+      EXPECT_TRUE(r.Get(&start) && r.Get(&x) && r.Get(&x));
+      FrequentDirections fd = FrequentDirections::Deserialize(&r).take();
+      if (start >= window.Start(now)) level.push_back(std::move(fd));
+    }
+  }
+  for (auto level = live.rbegin(); level != live.rend(); ++level) {
+    for (FrequentDirections& fd : *level) out.blocks.push_back(std::move(fd));
+  }
+  return out;
+}
+
+TEST(LmFdTest, ColdQueryIsTheMergeOfItsLiveBlocks) {
+  // A cold LM-FD query is FD's MergeAll of the live blocks plus the active
+  // rows. In the tree regime (d large next to ell) that is byte-identical
+  // to the pairwise MergeWith tree, spelled out here with
+  // PairwiseTreeReduce; in the tall regime it is MergeAll's one shrink.
+  const struct {
+    size_t d;
+    bool tall;
+  } kCases[] = {{120, false}, {10, true}};
+  const size_t ell = 8;
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.tall ? "tall" : "tree");
+    LmFd lm(c.d, WindowSpec::Sequence(600),
+            LmFd::Options{.ell = ell,
+                          .block_capacity = static_cast<double>(ell * c.d)});
+    Rng rng(21);
+    size_t checked = 0;
+    for (int i = 0; i < 1500; ++i) {
+      lm.Update(RandomRow(&rng, c.d), i);
+      if (i % 250 != 249) continue;
+      const std::string route = c.tall ? "tall" : "tree";
+      Counter* taken =
+          MetricsRegistry::Global().GetCounter("fd.merge_route_" + route);
+      const uint64_t before = taken->Value();
+      lm.InvalidateQueryCache();
+      const Matrix got = lm.Query();
+      EXPECT_EQ(taken->Value() - before, 1u);
+
+      const LiveParts parts = ReadLiveParts(lm);
+      ASSERT_GE(parts.blocks.size(), 2u);
+      const size_t m = parts.blocks.size();
+      std::vector<const FrequentDirections*> ptrs;
+      for (const FrequentDirections& fd : parts.blocks) ptrs.push_back(&fd);
+      FrequentDirections want =
+          c.tall ? FrequentDirections::MergeAll(ptrs)
+                 : PairwiseTreeReduce<FrequentDirections>(
+                       m,
+                       [&](size_t p) {
+                         FrequentDirections acc = parts.blocks[2 * p];
+                         if (2 * p + 1 < m) {
+                           acc.MergeWith(parts.blocks[2 * p + 1]);
+                         }
+                         return acc;
+                       },
+                       [](FrequentDirections& left,
+                          const FrequentDirections& right) {
+                         left.MergeWith(right);
+                       });
+      for (size_t j = 0; j < parts.active.rows(); ++j) {
+        want.Append(parts.active.Row(j));
+      }
+      EXPECT_EQ(got.MaxAbsDiff(want.Approximation()), 0.0);
+      ++checked;
+    }
+    EXPECT_EQ(checked, 6u);
+  }
 }
 
 }  // namespace

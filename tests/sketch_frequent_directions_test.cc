@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "linalg/power_iteration.h"
 #include "linalg/svd.h"
 #include "linalg/tridiag_eigen.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace swsketch {
@@ -402,6 +405,119 @@ TEST(FrequentDirectionsTest, AppendAndMergeAreScaleEquivariant) {
       EXPECT_LE(distance(scaled, e, merged), 1e-12) << "MergeWith";
     }
   }
+}
+
+uint64_t MergeRouteCount(const std::string& route) {
+  return MetricsRegistry::Global()
+      .GetCounter("fd.merge_route_" + route)
+      ->Value();
+}
+
+// One FD sketch per entry of `rows_per_part`, each fed its own Gaussian
+// rows; the inputs, stacked in part order, go to *stacked.
+std::vector<FrequentDirections> MakeParts(
+    size_t d, FrequentDirections::Options options,
+    const std::vector<size_t>& rows_per_part, uint64_t seed,
+    Matrix* stacked) {
+  std::vector<FrequentDirections> parts;
+  *stacked = Matrix(0, d);
+  for (size_t i = 0; i < rows_per_part.size(); ++i) {
+    const Matrix a = RandomMatrix(rows_per_part[i], d, seed + i);
+    parts.emplace_back(d, options);
+    parts.back().AppendMatrix(a);
+    *stacked = stacked->VStack(a);
+  }
+  return parts;
+}
+
+std::vector<const FrequentDirections*> Pointers(
+    const std::vector<FrequentDirections>& parts) {
+  std::vector<const FrequentDirections*> out;
+  for (const FrequentDirections& p : parts) out.push_back(&p);
+  return out;
+}
+
+TEST(FrequentDirectionsTest, MergeAllKeepsTheFdGuaranteeOnBothRoutes) {
+  // Whichever route MergeAll takes, the result is an FD sketch of the
+  // stacked inputs: B^T B <= A^T A, ||A^T A - B^T B||_2 <= shed_mass(), at
+  // most ell rows, and input_mass() is the parts' sum.
+  const struct {
+    const char* route;
+    size_t d;
+    double buffer_factor;
+    std::vector<size_t> rows;
+  } kCases[] = {
+      {"tall", 12, 1.0, {40, 40, 40, 40, 40, 40, 40, 40, 40}},
+      {"tall", 16, 2.0, {5, 70, 33, 120, 9, 64, 1}},
+      {"tree", 60, 1.0, {40, 40, 40, 40, 40, 40, 40, 40, 40}},
+      {"tree", 90, 2.0, {5, 70, 33, 120, 9, 64, 1}},
+  };
+  const size_t ell = 8;
+  uint64_t seed = 100;
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(std::string(c.route) + " d=" + std::to_string(c.d));
+    Matrix a;
+    const std::vector<FrequentDirections> parts = MakeParts(
+        c.d, {.ell = ell, .buffer_factor = c.buffer_factor}, c.rows,
+        seed += 10, &a);
+    double input = 0.0, shed = 0.0;
+    for (const FrequentDirections& p : parts) {
+      input += p.input_mass();
+      shed += p.shed_mass();
+    }
+    const uint64_t before = MergeRouteCount(c.route);
+    const FrequentDirections merged =
+        FrequentDirections::MergeAll(Pointers(parts));
+    EXPECT_EQ(MergeRouteCount(c.route) - before, 1u);
+
+    EXPECT_LE(merged.RowsStored(), ell);
+    EXPECT_NEAR(merged.input_mass(), input, 1e-12 * input);
+    EXPECT_NEAR(merged.input_mass(), a.FrobeniusNormSq(), 1e-9 * input);
+    EXPECT_GE(merged.shed_mass(), shed * (1.0 - 1e-12));
+    Matrix diff = a.Gram();
+    const Matrix b = merged.Approximation();
+    for (size_t i = 0; i < b.rows(); ++i) diff.AddOuterProduct(b.Row(i), -1.0);
+    const SymmetricEigen eig = TridiagEigen(diff);
+    const double tol = 1e-10 * input;
+    EXPECT_GE(eig.eigenvalues.back(), -tol);  // B^T B <= A^T A.
+    EXPECT_LE(eig.eigenvalues.front(), merged.shed_mass() + tol);
+  }
+}
+
+TEST(FrequentDirectionsTest, MergeAllRouteFollowsTheOpCount) {
+  // 33 full parts (the live blocks behind a 32-merge LM cold query): one
+  // tall shrink where d is small next to the stacked rows, the pairwise
+  // tree where the d x d eigensolve would cost more than the tree's
+  // 2ell x 2ell ones. The route never changes the FD guarantee, only the
+  // cost; fewer than ell + 1 stacked rows never shrink and stay on the
+  // tree.
+  const struct {
+    size_t d, ell;
+    const char* route;
+  } kGrid[] = {{8, 8, "tall"},     {35, 16, "tall"},   {150, 32, "tall"},
+               {200, 32, "tall"},  {300, 64, "tall"},  {231, 16, "tree"},
+               {300, 32, "tree"},  {1000, 32, "tree"}};
+  for (const auto& cell : kGrid) {
+    SCOPED_TRACE("d=" + std::to_string(cell.d) +
+                 " ell=" + std::to_string(cell.ell));
+    Matrix a;
+    const std::vector<FrequentDirections> parts =
+        MakeParts(cell.d, {.ell = cell.ell},
+                  std::vector<size_t>(33, cell.ell), 7, &a);
+    const uint64_t before = MergeRouteCount(cell.route);
+    const FrequentDirections merged =
+        FrequentDirections::MergeAll(Pointers(parts));
+    EXPECT_EQ(MergeRouteCount(cell.route) - before, 1u);
+    EXPECT_LE(merged.RowsStored(), cell.ell);
+  }
+  Matrix a;
+  const std::vector<FrequentDirections> few =
+      MakeParts(8, {.ell = 8}, {3, 2, 3}, 9, &a);
+  const uint64_t before = MergeRouteCount("tree");
+  const FrequentDirections merged =
+      FrequentDirections::MergeAll(Pointers(few));
+  EXPECT_EQ(MergeRouteCount("tree") - before, 1u);
+  EXPECT_EQ(merged.Approximation().MaxAbsDiff(a), 0.0);  // Stacked as is.
 }
 
 TEST(FrequentDirectionsTest, RejectsBadConfig) {

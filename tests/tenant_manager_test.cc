@@ -404,6 +404,56 @@ TEST(TenantManagerTest, BadTimestampsAreRejectedEvenWhileSpilled) {
   EXPECT_EQ(got.value().MaxAbsDiff((*twin)->Query()), 0.0);
 }
 
+TEST(TenantManagerTest, RejectedRowsCreateNoTenant) {
+  // A batch rejected for a bad timestamp or row width is checked whole
+  // before any tenant exists, so its new keys leave nothing behind; the
+  // single-row paths check a new key's timestamp before creating it too.
+  const size_t d = 3;
+  TenantManager::Options options;
+  options.metrics_prefix = "tm_rejected_rows";
+  auto made = TenantManager::Make(d, WindowSpec::Time(5.0),
+                                  Config("lm-fd", d), options);
+  ASSERT_TRUE(made.ok());
+  auto& manager = *made.value();
+  Counter* created =
+      MetricsRegistry::Global().GetCounter("tm_rejected_rows.tenants_created");
+  const Matrix rows = GaussianRows(3, d, 13);
+  const std::vector<double> wide(d + 1, 1.0);
+  ASSERT_TRUE(manager.Update(1, rows.Row(0), 2.0).ok());
+  const uint64_t created0 = created->Value();
+
+  // New keys 2 and 3 ahead of a row older than tenant 1's clock.
+  std::vector<KeyedRow> batch = {{2, 1.0, rows.Row(1)},
+                                 {3, 1.0, rows.Row(2)},
+                                 {1, 1.0, rows.Row(0)}};
+  EXPECT_FALSE(manager.UpdateKeyed(batch).ok());
+  // New key 4 whose own rows go backwards.
+  batch = {{4, 1.0, rows.Row(1)}, {4, 0.5, rows.Row(2)}};
+  EXPECT_FALSE(manager.UpdateKeyed(batch).ok());
+  // New key 5 ahead of a row of the wrong width.
+  batch = {{5, 3.0, rows.Row(1)}, {1, 3.0, wide}};
+  EXPECT_FALSE(manager.UpdateKeyed(batch).ok());
+  // New keys through the single-row paths, before a new tenant's clock.
+  EXPECT_FALSE(manager.Update(6, rows.Row(1), -1.0).ok());
+  EXPECT_FALSE(manager.Update(7, rows.Row(1), std::nan("")).ok());
+  EXPECT_FALSE(manager.AdvanceTo(8, -1.0).ok());
+
+  EXPECT_EQ(manager.num_tenants(), 1u);
+  EXPECT_EQ(created->Value(), created0);
+  for (uint64_t key = 2; key <= 8; ++key) {
+    EXPECT_FALSE(manager.IsResident(key)) << key;
+  }
+
+  // A valid batch creates its new key and feeds both tenants.
+  batch = {{2, 3.0, rows.Row(1)}, {1, 3.0, rows.Row(2)}};
+  ASSERT_TRUE(manager.UpdateKeyed(batch).ok());
+  EXPECT_EQ(manager.num_tenants(), 2u);
+  EXPECT_EQ(created->Value(), created0 + 1);
+  auto got = manager.Query(2);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value().rows(), 1u);
+}
+
 TEST(TenantManagerTest, CreateTenantIsIdempotent) {
   const size_t d = 4;
   auto made = TenantManager::Make(d, WindowSpec::Sequence(10),
