@@ -5,6 +5,7 @@
 
 #include "linalg/jacobi_eigen.h"
 #include "linalg/power_iteration.h"
+#include "linalg/simd.h"
 #include "linalg/subspace_iteration.h"
 #include "linalg/svd.h"
 #include "linalg/tridiag_eigen.h"
@@ -63,19 +64,52 @@ BENCHMARK(BM_TridiagEigen)
     ->Arg(128)
     ->Arg(256);
 
+void BM_TridiagEigenVectors(benchmark::State& state) {
+  // TridiagEigen asked for `count` of n eigenvectors, on the stage the
+  // third argument forces (0 accumulated, 1 kept vectors; the library
+  // picks by simd::InverseIterationIsCheaper, which this bench calibrates).
+  // (32, 15) is an LM-FD ingest shrink at ell = 32, (64, 32) an LM pair
+  // merge, (96, 23) and (128, 23) DS-FD frame shrinks, (150, 32) and
+  // (200, 32) the tall MergeAll at d = 150 and 200.
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t count = static_cast<size_t>(state.range(1));
+  const simd::EigenStage stage = state.range(2) != 0
+                                     ? simd::EigenStage::kKeptVectors
+                                     : simd::EigenStage::kAccumulated;
+  const Matrix a = RandomMatrix(2 * n, n, 2).Gram();
+  SymmetricEigenScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        simd::TridiagEigen(a, &scratch, simd::Best(), count, stage));
+  }
+  state.counters["rule_picks_kept"] =
+      simd::InverseIterationIsCheaper(n, count) ? 1 : 0;
+}
+BENCHMARK(BM_TridiagEigenVectors)
+    ->ArgsProduct({{32}, {15}, {0, 1}})
+    ->ArgsProduct({{64}, {32}, {0, 1}})
+    ->ArgsProduct({{96}, {23}, {0, 1}})
+    ->ArgsProduct({{128}, {23}, {0, 1}})
+    ->ArgsProduct({{150}, {32}, {0, 1}})
+    ->ArgsProduct({{200}, {32}, {0, 1}});
+
 void BM_GramOuter(benchmark::State& state) {
   // The FD shrink's Gram B B^T at d = 200: n = 32 is an ingest shrink, 64
-  // an LM merge, 200 a DS-FD compress stack.
+  // an LM merge, 200 a DS-FD compress stack. The second argument picks
+  // the clone: 0 the best this CPU runs, 1 the baseline (what a plain
+  // x86-64 CPU without AVX2 runs).
   const size_t n = static_cast<size_t>(state.range(0));
+  const simd::Target target =
+      state.range(1) != 0 ? simd::Target::kBaseline : simd::Best();
   const Matrix a = RandomMatrix(n, 200, 3);
   Matrix g;
   for (auto _ : state) {
-    a.GramOuterInto(&g);
+    simd::GramOuterInto(a, &g, target);
     benchmark::DoNotOptimize(g.Data().data());
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_GramOuter)->Arg(32)->Arg(64)->Arg(200);
+BENCHMARK(BM_GramOuter)->ArgsProduct({{32, 64, 200}, {0, 1}});
 
 void BM_Gram(benchmark::State& state) {
   // The tall-route Gram A^T A: 1024 stacked rows (32 LM blocks of 32) at

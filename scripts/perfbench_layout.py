@@ -28,10 +28,13 @@ import sys
 SYMBOL = "Workload::Calibrate()"
 LINE = 64
 # Function names (the demangled name before its parameter list) of the
-# library's hot kernels: the AVX2 clones of the tridiagonal eigensolver and
-# of the B B^T Gram, the FD shrink and FD's n-way merge.
-HOT_KERNELS = ["TridiagonalizeAndIterateAvx2", "GramOuterAvx2",
-               "FrequentDirections::Rebuild", "FrequentDirections::MergeAll"]
+# library's hot kernels: the AVX2 clones of the tridiagonal eigensolver's
+# two stages (accumulated transform; kept vectors by inverse iteration and
+# back-transform) and of the B B^T Gram, the FD shrink and FD's n-way
+# merge.
+HOT_KERNELS = ["TridiagonalizeAndIterateAvx2", "KeptVectorsAvx2",
+               "GramOuterAvx2", "FrequentDirections::Rebuild",
+               "FrequentDirections::MergeAll"]
 
 
 def symbols(binary):

@@ -76,7 +76,8 @@ Matrix CompressSigned(CompressScratch& s, size_t dim, size_t max_rows) {
   s.restricted.MirrorUpperToLower();
 
   // M is indefinite; its numerical rank counts only the positive head.
-  const SymmetricEigen& em = TridiagEigen(s.restricted, &s.eigen_m);
+  const SymmetricEigen& em =
+      TridiagEigen(s.restricted, &s.eigen_m, max_rows);
   const size_t k = std::min(NumericalRank(em), max_rows);
   if (k == 0) return Matrix(0, dim);
 

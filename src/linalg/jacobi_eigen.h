@@ -17,7 +17,9 @@ namespace swsketch {
 /// eigenvalues sorted in descending order and eigenvectors as columns of V.
 struct SymmetricEigen {
   std::vector<double> eigenvalues;  // Descending.
-  Matrix eigenvectors;              // n x n, column i pairs eigenvalues[i].
+  Matrix eigenvectors;              // n x count, column i pairs
+                                    // eigenvalues[i] (count = n unless a
+                                    // solver was asked for fewer).
 };
 
 /// Reusable workspace for the symmetric eigensolvers. A scratch cycled
@@ -26,11 +28,18 @@ struct SymmetricEigen {
 /// Not thread-safe — one scratch per concurrent solver.
 struct SymmetricEigenScratch {
   Matrix work;                // Symmetrized copy, rotated in place.
-  Matrix accum;               // Jacobi eigenvector accumulator V.
+  Matrix accum;               // Eigenvector accumulator / kept vectors.
   std::vector<double> diag;   // Tridiagonal diagonal / Jacobi diagonal.
   std::vector<double> off;    // Tridiagonal off-diagonal.
   std::vector<double> hcol;   // Householder column staging (tridiag).
   std::vector<size_t> order;  // Descending-eigenvalue permutation.
+  // Kept-vector stage of TridiagEigen (inverse iteration).
+  std::vector<double> tau;     // Householder h per reduction step.
+  std::vector<double> band;    // Scaled T, shifts and a tridiagonal LU.
+  std::vector<size_t> block;   // First index of each index's block.
+  std::vector<size_t> wanted;  // Kept columns grouped by block.
+  bool inverse_vectors = false;  // Out: the last solve's vectors came
+                                 // from inverse iteration.
   SymmetricEigen result;      // Output storage, reused across solves.
 };
 

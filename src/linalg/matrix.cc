@@ -1,8 +1,9 @@
 #include "linalg/matrix.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "linalg/simd.h"
@@ -169,7 +170,8 @@ void AccumulateGramUpperBand(const Matrix& a, Matrix* g, size_t i_begin,
 
 // Entries (i..i+1, j..j+3) of A A^T. Each is simd::Dot of its two rows;
 // the tile only keeps the lanes of all eight dots in registers so every
-// row load feeds four (or two) of them.
+// row load feeds four (or two) of them: 8 accumulators and 6 loads fill
+// the AVX2 clone's 16 YMM registers.
 SWSKETCH_SIMD_INLINE void GramOuterTile2x4(const Matrix& a, size_t i,
                                            size_t j, Matrix* g) {
   const size_t d = a.cols();
@@ -211,21 +213,76 @@ SWSKETCH_SIMD_INLINE void GramOuterTile2x4(const Matrix& a, size_t i,
   g1[3] = simd::FoldTail(s13, x1, y3, k, d);
 }
 
-// The upper triangle of A A^T, mirrored at the end: 2 x 4 register tiles
-// where they fit, single simd::Dot entries at the right and bottom edges.
-// A tile starting left of the diagonal also fills a few lower entries; the
-// mirror overwrites them with the same values (x * y rounds like y * x).
-// Every entry is simd::Dot of its two rows whichever path computes it, so
-// the tiling changes no bit.
+// The baseline clone's tile, entries (i..i+1, j..j+1). On SSE2 a Lanes4
+// is lowered to two XMM halves through memory, and the 2 x 4 tile's
+// accumulators live on the stack; this tile keeps each entry's four lanes
+// as two native 2-lane halves, (l0, l1) and (l2, l3), in 8 XMM
+// registers, next to 4 loads. Lane l still sums x[k] * y[k] over
+// k = l (mod 4) in ascending k and folds as (l0 + l1) + (l2 + l3), so every
+// entry keeps simd::Dot's bits.
+SWSKETCH_SIMD_INLINE void GramOuterTile2x2(const Matrix& a, size_t i,
+                                           size_t j, Matrix* g) {
+  typedef double Lanes2 __attribute__((vector_size(16)));
+  const size_t d = a.cols();
+  const double* x[2] = {a.RowPtr(i), a.RowPtr(i + 1)};
+  const double* y[2] = {a.RowPtr(j), a.RowPtr(j + 1)};
+  Lanes2 lo00 = {}, lo01 = {}, lo10 = {}, lo11 = {};
+  Lanes2 hi00 = {}, hi01 = {}, hi10 = {}, hi11 = {};
+  size_t k = 0;
+  for (; k + 4 <= d; k += 4) {
+    Lanes2 u0, u1, v0, v1;
+    std::memcpy(&u0, x[0] + k, sizeof(Lanes2));
+    std::memcpy(&u1, x[1] + k, sizeof(Lanes2));
+    std::memcpy(&v0, y[0] + k, sizeof(Lanes2));
+    std::memcpy(&v1, y[1] + k, sizeof(Lanes2));
+    lo00 += u0 * v0;
+    lo01 += u0 * v1;
+    lo10 += u1 * v0;
+    lo11 += u1 * v1;
+    std::memcpy(&u0, x[0] + k + 2, sizeof(Lanes2));
+    std::memcpy(&u1, x[1] + k + 2, sizeof(Lanes2));
+    std::memcpy(&v0, y[0] + k + 2, sizeof(Lanes2));
+    std::memcpy(&v1, y[1] + k + 2, sizeof(Lanes2));
+    hi00 += u0 * v0;
+    hi01 += u0 * v1;
+    hi10 += u1 * v0;
+    hi11 += u1 * v1;
+  }
+  const Lanes2 lo[2][2] = {{lo00, lo01}, {lo10, lo11}};
+  const Lanes2 hi[2][2] = {{hi00, hi01}, {hi10, hi11}};
+  for (size_t r = 0; r < 2; ++r) {
+    double* gr = g->RowPtr(i + r) + j;
+    for (size_t c = 0; c < 2; ++c) {
+      const simd::Lanes4 acc = {lo[r][c][0], lo[r][c][1], hi[r][c][0],
+                                hi[r][c][1]};
+      gr[c] = simd::FoldTail(acc, x[r], y[c], k, d);
+    }
+  }
+}
+
+// The upper triangle of A A^T, mirrored at the end: 2 x kCols register
+// tiles (kCols = 4 in the AVX2 clone, 2 in the baseline one) where they
+// fit, single simd::Dot entries at the right and bottom edges. A tile
+// starting left of the diagonal also fills a few lower entries; the mirror
+// overwrites them with the same values (x * y rounds like y * x). Every
+// entry is simd::Dot of its two rows whichever path computes it, so
+// neither the tiling nor the tile width changes a bit.
+template <size_t kCols>
 SWSKETCH_SIMD_INLINE void GramOuterKernel(const Matrix& a, Matrix* out) {
   const size_t n = a.rows();
   const size_t d = a.cols();
   out->ResetShape(n, n);
   for (size_t i = 0; i < n; i += 2) {
     const size_t rows = std::min<size_t>(2, n - i);
-    size_t j = i & ~size_t{3};
+    size_t j = i & ~size_t{kCols - 1};
     if (rows == 2) {
-      for (; j + 4 <= n; j += 4) GramOuterTile2x4(a, i, j, out);
+      for (; j + kCols <= n; j += kCols) {
+        if constexpr (kCols == 4) {
+          GramOuterTile2x4(a, i, j, out);
+        } else {
+          GramOuterTile2x2(a, i, j, out);
+        }
+      }
     }
     for (size_t r = i; r < i + rows; ++r) {
       for (size_t c = std::max(j, r); c < n; ++c) {
@@ -239,7 +296,7 @@ SWSKETCH_SIMD_INLINE void GramOuterKernel(const Matrix& a, Matrix* out) {
 #if SWSKETCH_SIMD_AVX2_CLONE
 __attribute__((target("avx2"))) void GramOuterAvx2(const Matrix& a,
                                                     Matrix* out) {
-  GramOuterKernel(a, out);
+  GramOuterKernel<4>(a, out);
 }
 #endif
 
@@ -269,7 +326,7 @@ void GramOuterInto(const Matrix& a, Matrix* out, Target target) {
     return;
   }
 #endif
-  GramOuterKernel(a, out);
+  GramOuterKernel<2>(a, out);
 }
 
 }  // namespace simd

@@ -1,18 +1,23 @@
-// Runtime SIMD target of the FD shrink kernels: Matrix::GramOuterInto and
-// the Householder reduction and QL rotations inside TridiagEigen.
+// Runtime SIMD target of the FD shrink kernels: Matrix::GramOuterInto and,
+// inside TridiagEigen, the Householder reduction, the transform
+// accumulation and QL rotations, and the kept vectors' inverse iteration
+// and back-transform.
 //
 // Each kernel has one source, written on explicit 4-lane vectors (GCC
 // vector extensions) with no fused multiply-add, and is compiled twice:
 // for the baseline ISA and as a target("avx2") clone, picked at run time by
-// linalg's one cpuid probe (Best() below). Lane arithmetic is plain IEEE
-// mul/add and every reduction folds its lanes in one fixed order, so both
-// clones return the same bits; the probe changes speed only. Builds that
-// enable FMA (-march=native) keep that property because the library
-// compiles with -ffp-contract=off.
+// linalg's one cpuid probe (Best() below). The one exception is the Gram
+// tile, whose baseline form holds each 4-lane sum as two native 2-lane
+// halves so that it fits SSE2's registers (matrix.cc). Lane arithmetic is
+// plain IEEE mul/add and every reduction folds its lanes in one fixed
+// order, so both clones return the same bits; the probe changes speed
+// only. Builds that enable FMA (-march=native) keep that property because
+// the library compiles with -ffp-contract=off.
 //
-// This header is internal to linalg and its tests: the target entry points
-// below exist so a test can hold the two clones against each other, and no
-// option, flag or config reaches them.
+// This header is internal to linalg, its tests and micro_linalg: the
+// target and stage entry points below exist so a test can hold the two
+// clones (and TridiagEigen's two eigenvector stages) against each other,
+// and no option, flag or config reaches them.
 #ifndef SWSKETCH_LINALG_SIMD_H_
 #define SWSKETCH_LINALG_SIMD_H_
 
@@ -166,10 +171,24 @@ SWSKETCH_SIMD_INLINE void Rotate(double* x, double* y, double c, double s,
 /// Matrix::GramOuterInto on the clone for `target` (CheckSupported).
 void GramOuterInto(const Matrix& a, Matrix* out, Target target);
 
-/// TridiagEigen on the clone for `target` (CheckSupported).
+/// TridiagEigen's two ways to the eigenvectors (tridiag_eigen.h): the
+/// accumulated transform plus QL rotations, or rotation-free QL followed by
+/// inverse iteration and a back-transform of the kept vectors alone.
+enum class EigenStage : uint8_t { kAccumulated, kKeptVectors };
+
+/// TridiagEigen's op-count rule: true when the kept-vector stage is
+/// predicted to cost less than the accumulated one for `count` of `n`
+/// eigenvectors.
+bool InverseIterationIsCheaper(size_t n, size_t count);
+
+/// TridiagEigen(s, scratch, max_vectors) on the clone for `target`
+/// (CheckSupported) and on `stage`, whatever the rule would pick. The
+/// kept-vector stage falls back to the accumulated one if inverse
+/// iteration fails.
 const SymmetricEigen& TridiagEigen(const Matrix& s,
                                    SymmetricEigenScratch* scratch,
-                                   Target target);
+                                   Target target, size_t max_vectors,
+                                   EigenStage stage);
 
 }  // namespace simd
 }  // namespace swsketch

@@ -26,6 +26,7 @@ struct FdMetrics {
   Counter* merge_route_tall;
   Counter* merge_route_tree;
   Counter* eigen_route_tridiag;
+  Counter* eigen_vectors_inverse;
   Counter* scratch_creates;
   Counter* merges;
   Histogram* shrink_ns;
@@ -40,6 +41,7 @@ struct FdMetrics {
                        scope.counter("merge_route_tall"),
                        scope.counter("merge_route_tree"),
                        scope.counter("eigen_route_tridiag"),
+                       scope.counter("eigen_vectors_inverse"),
                        scope.counter("scratch_creates"),
                        scope.counter("merges"),
                        scope.histogram("shrink_ns")};
@@ -70,10 +72,14 @@ struct FdShrinkScratch {
   std::vector<double> row_tmp;  // Tall-route eigenvector column staging.
 };
 
-// Cost of a d x d (or n x n) tridiagonal-QL eigensolve per d^3, in units
-// of one Gram multiply-add: micro_linalg's BM_TridiagEigen over BM_Gram
-// (see EXPERIMENTS.md "One-shrink LM cold query").
+// Cost of an eigensolve per n^3, in units of one Gram multiply-add:
+// micro_linalg's BM_TridiagEigenVectors over BM_Gram (see EXPERIMENTS.md
+// "Kept eigenvectors only"). The tree's 2ell x 2ell solves keep ell of 2ell
+// vectors, which TridiagEigen runs on the accumulated stage (w = 5.7 at
+// ell = 32); the tall d x d solve keeps ell of d, on the kept-vector stage
+// from d ~ 64 on (w = 2.9 / 2.4 / 1.9 at d = 150 / 200 / 300, ell = 32).
 constexpr double kEigenWeight = 5.0;
+constexpr double kTallEigenWeight = 2.5;
 
 // MergeAll's route rule: true when one tall shrink of all `rows` stacked
 // rows (the summed d x d Gram, one d x d eigensolve) is predicted to cost
@@ -83,7 +89,7 @@ bool TallMergeIsCheaper(size_t parts, size_t rows, size_t dim, size_t ell) {
   const double d = static_cast<double>(dim);
   const double l = static_cast<double>(ell);
   const double tall = static_cast<double>(rows) * d * d / 2 +
-                      kEigenWeight * d * d * d;
+                      kTallEigenWeight * d * d * d;
   const double tree = static_cast<double>(parts - 1) *
                       (4 * l * l * d + kEigenWeight * 8 * l * l * l);
   return tall < tree;
@@ -206,7 +212,11 @@ void FrequentDirections::Rebuild(
     s.gram.MirrorUpperToLower();
   }
   metrics.eigen_route_tridiag->Add();
-  const SymmetricEigen& eig = TridiagEigen(s.gram, &s.eigen);
+  // At most min(max_rows, rank - 1) rows survive (sigma^2 must exceed
+  // sigma_rank^2), so only that many eigenvectors are needed.
+  const SymmetricEigen& eig =
+      TridiagEigen(s.gram, &s.eigen, std::min(max_rows, rank - 1));
+  if (s.eigen.inverse_vectors) metrics.eigen_vectors_inverse->Add();
   const size_t r = NumericalRank(eig);
   double lambda = 0.0;
   if (rank <= r) {

@@ -137,8 +137,9 @@ class FrequentDirections : public MatrixSketch {
   ///  - tall: sum the d x d Grams B_i^T B_i into the thread's shrink
   ///    workspace (the rows are never stacked), run one eigensolve and
   ///    keep at most ell rows with lambda = sigma_{ell+1}^2 — Rebuild's
-  ///    tall branch. Costs about n d^2 / 2 + w d^3 madds, w the eigensolve
-  ///    weight, so it wins when d is small next to the stacked rows;
+  ///    tall branch. Costs about n d^2 / 2 + w_t d^3 madds, w_t the weight
+  ///    of an eigensolve that keeps ell of d vectors, so it wins when d is
+  ///    small next to the stacked rows;
   ///  - tree: the PairwiseMergeTree of MergeWith (util/parallel.h),
   ///    (m - 1) 2ell x 2ell shrinks of about 4 ell^2 d + 8 w ell^3 madds
   ///    each, byte-identical to merging pairwise by hand. Also taken when

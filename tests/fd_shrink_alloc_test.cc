@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -156,6 +157,56 @@ TEST(FdShrinkAllocTest, FreshFdOnWarmThreadShrinksWithoutAllocating) {
     ++cursor2;
   }
   EXPECT_EQ(AllocationsOverShrinks(&fresh, rows, 1, &cursor2), 0u);
+}
+
+// The shapes the kept-vector eigensolve serves (TridiagEigen's inverse
+// iteration, its band LU and the back-transform scratch): a DS-FD frame at
+// d = 200, ell = 32 (frame ell 48, capacity 128, 23 kept vectors of 128),
+// and LM-FD's cold query at d = 200, ell = 32 (MergeAll of 33 full blocks
+// on the tall route: a 200 x 200 Gram, 32 kept vectors).
+TEST(FdShrinkAllocTest, DsFdFrameShrinkIsAllocationFree) {
+  const size_t d = 200, frame_ell = 48;
+  FrequentDirections fd(
+      d, FrequentDirections::Options{
+             .ell = frame_ell, .buffer_factor = 128.5 / frame_ell});
+  ASSERT_EQ(fd.buffer_capacity(), 128u);
+  const Matrix rows = RandomMatrix(3 * 128, d, 19);
+  size_t cursor = 0;
+  while (fd.shrink_count() < 2) {
+    fd.Append(rows.Row(cursor % rows.rows()), cursor);
+    ++cursor;
+  }
+  EXPECT_EQ(AllocationsOverShrinks(&fd, rows, 3, &cursor), 0u);
+}
+
+TEST(FdShrinkAllocTest, TallMergeAllocatesOnlyItsResult) {
+  const size_t d = 200, ell = 32, parts = 33;
+  std::vector<FrequentDirections> blocks;
+  for (size_t p = 0; p < parts; ++p) {
+    blocks.emplace_back(d, FrequentDirections::Options{.ell = ell});
+    blocks.back().AppendMatrix(RandomMatrix(ell, d, 23 + p));
+  }
+  std::vector<const FrequentDirections*> span;
+  for (const FrequentDirections& b : blocks) span.push_back(&b);
+  Counter* tall = MetricsRegistry::Global().GetCounter("fd.merge_route_tall");
+  const uint64_t tall0 = tall->Value();
+  const FrequentDirections warm = FrequentDirections::MergeAll(span);
+  ASSERT_EQ(tall->Value(), tall0 + 1);
+
+  // The result is a copy of the first part with its rows replaced in
+  // place, so the merge may allocate what that copy allocates, no more.
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  const FrequentDirections copy = blocks[0];
+  g_counting.store(false, std::memory_order_relaxed);
+  const size_t copy_allocs = g_alloc_count.load(std::memory_order_relaxed);
+
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  const FrequentDirections merged = FrequentDirections::MergeAll(span);
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), copy_allocs);
+  EXPECT_EQ(merged.Approximation().MaxAbsDiff(warm.Approximation()), 0.0);
 }
 
 // The sharded kFdMerge reduce builds a new FD per combined pair. On a

@@ -11,12 +11,14 @@
 //     live_blocks gauge — and destruction settles the ledger to zero;
 //   - FD shrinks: the amortized schedule is analytic — with full-rank
 //     Gaussian input, shrinks(n) = 1 + floor((n - cap) / (cap - r + 1)),
-//     and the route counters attribute every shrink;
+//     and the route counters attribute every shrink; inverse-iteration
+//     eigenvectors <= tridiagonal eigensolves, pinned to the shape rule;
 //   - ConcurrentSketch: snapshots_published == mutations + snapshot_ctors
 //     while only snapshot-mode instances mutate;
 //   - samplers: every priority draw is conserved as a live candidate, a
 //     replacement eviction, or a front expiry;
 //   - window buffer gauges mirror the buffer's actual footprint.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -33,6 +35,7 @@
 #include "core/window_sampler.h"
 #include "distributed/sharded_sketch.h"
 #include "linalg/matrix.h"
+#include "linalg/simd.h"
 #include "service/tenant_manager.h"
 #include "sketch/frequent_directions.h"
 #include "stream/window_buffer.h"
@@ -296,6 +299,40 @@ TEST(MetricsInvariantsTest, FdShrinksFollowTheAmortizedSchedule) {
     } else {
       EXPECT_EQ(C("fd.shrink_route_gram_tall") - tall0, fd.shrink_count());
     }
+  }
+}
+
+TEST(MetricsInvariantsTest, FdInverseVectorsAreTridiagShrinksByTheRule) {
+  // fd.eigen_vectors_inverse counts the shrinks whose kept eigenvectors
+  // came from inverse iteration; each is also a tridiagonal eigensolve.
+  // A shrink of an n-row buffer asks for min(ell, shrink_rank - 1)
+  // vectors, so the stage is a function of the shape:
+  //  - n = 128, 15 vectors (ell 32, capacity 128): kept vectors;
+  //  - n = 16, 7 vectors (ell 16, buffer factor 1): accumulated.
+  const struct {
+    size_t d, ell;
+    double buffer_factor;
+    bool inverse;
+  } kInputs[] = {{200, 32, 4.0, true}, {64, 16, 1.0, false}};
+  for (const auto& in : kInputs) {
+    SCOPED_TRACE(in.inverse ? "kept vectors" : "accumulated");
+    FrequentDirections fd(in.d,
+                          FrequentDirections::Options{
+                              .ell = in.ell, .buffer_factor = in.buffer_factor});
+    const size_t n = fd.buffer_capacity();
+    const size_t count = std::min(in.ell, fd.shrink_rank() - 1);
+    ASSERT_EQ(simd::InverseIterationIsCheaper(n, count), in.inverse)
+        << "n=" << n << " count=" << count;
+    const uint64_t tridiag0 = C("fd.eigen_route_tridiag");
+    const uint64_t inverse0 = C("fd.eigen_vectors_inverse");
+    const Matrix rows = GaussianRows(3 * n, in.d, 8);
+    for (size_t i = 0; i < rows.rows(); ++i) fd.Append(rows.Row(i), i);
+    ASSERT_GT(fd.shrink_count(), 0u);
+    const uint64_t tridiag = C("fd.eigen_route_tridiag") - tridiag0;
+    const uint64_t inverse = C("fd.eigen_vectors_inverse") - inverse0;
+    EXPECT_EQ(tridiag, fd.shrink_count());
+    EXPECT_LE(inverse, tridiag);
+    EXPECT_EQ(inverse, in.inverse ? tridiag : 0u);
   }
 }
 

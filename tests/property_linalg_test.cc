@@ -231,21 +231,34 @@ TEST_P(FdGramEigenProperty, BaselineAndAvx2ClonesAgreeBitwise) {
     const SymmetricEigen* eig[2];
     const simd::Target targets[2] = {simd::Target::kBaseline,
                                      simd::Target::kAvx2};
-    for (int t = 0; t < 2; ++t) {
-      simd::GramOuterInto(rows, &gram[t], targets[t]);
-      eig[t] = &simd::TridiagEigen(gram[t], &scratch[t], targets[t]);
-    }
     const auto bytes_equal = [](std::span<const double> x,
                                 std::span<const double> y) {
       return x.size() == y.size() &&
              std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
     };
+    for (int t = 0; t < 2; ++t) {
+      simd::GramOuterInto(rows, &gram[t], targets[t]);
+      eig[t] = &simd::TridiagEigen(gram[t], &scratch[t], targets[t], n,
+                                   simd::EigenStage::kAccumulated);
+    }
     EXPECT_TRUE(bytes_equal(gram[0].Data(), gram[1].Data())) << "Gram";
     EXPECT_TRUE(bytes_equal(eig[0]->eigenvalues, eig[1]->eigenvalues))
         << "eigenvalues";
     EXPECT_TRUE(bytes_equal(eig[0]->eigenvectors.Data(),
                             eig[1]->eigenvectors.Data()))
         << "eigenvectors";
+    // The kept-vector stage: inverse iteration and back-transform.
+    const size_t count = std::max<size_t>(1, n / 4);
+    for (int t = 0; t < 2; ++t) {
+      eig[t] = &simd::TridiagEigen(gram[t], &scratch[t], targets[t], count,
+                                   simd::EigenStage::kKeptVectors);
+      EXPECT_TRUE(scratch[t].inverse_vectors);
+    }
+    EXPECT_TRUE(bytes_equal(eig[0]->eigenvalues, eig[1]->eigenvalues))
+        << "kept-vector eigenvalues";
+    EXPECT_TRUE(bytes_equal(eig[0]->eigenvectors.Data(),
+                            eig[1]->eigenvectors.Data()))
+        << "kept eigenvectors";
   }
 }
 
@@ -258,6 +271,152 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<size_t>(33, 48, 63, 64, 65, 96, 128,
                                                  200),
                        ::testing::Values(5u, 6u)));
+
+// Symmetric inputs that stress the kept-vector stage: exact and near
+// multiplicities, split tridiagonals, rank deficiency, zero, and the
+// ends of the exponent range.
+enum class KeptInput {
+  kRandom,          // An FD buffer Gram.
+  kMultiplicity,    // I + R R^T, R n x 3: eigenvalue 1, n - 3 times.
+  kTinyGaps,        // Leading half 1e-10 apart (relative).
+  kBlockDiagonal,   // diag(A, A, C): a split tridiagonal, equal blocks.
+  kRankDeficient,   // Rank n / 3.
+  kZero,            // G = 0.
+  kHuge,            // Rows scaled by 2^450.
+  kTiny,            // Rows scaled by 2^-450.
+};
+
+// U diag(lambda) U^T for the orthonormal eigenvectors U of a random
+// symmetric matrix.
+Matrix WithSpectrum(const std::vector<double>& lambda, uint64_t seed) {
+  const size_t n = lambda.size();
+  const Matrix u =
+      TridiagEigen(RandomMatrix(n, n, seed, 0.0).GramOuter()).eigenvectors;
+  Matrix g(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      double sum = 0.0;
+      for (size_t k = 0; k < n; ++k) sum += u(i, k) * lambda[k] * u(j, k);
+      g(i, j) = sum;
+    }
+  }
+  return g;
+}
+
+Matrix KeptInputGram(KeptInput kind, size_t n, uint64_t seed) {
+  switch (kind) {
+    case KeptInput::kRandom:
+      return FdBufferRows(FdBuffer::kRandom, n, seed).GramOuter();
+    case KeptInput::kMultiplicity: {
+      Matrix g = RandomMatrix(n, 3, seed, 0.0).GramOuter();
+      for (size_t i = 0; i < n; ++i) g(i, i) += 1.0;
+      return g;
+    }
+    case KeptInput::kTinyGaps: {
+      std::vector<double> lambda(n);
+      for (size_t i = 0; i < n; ++i) {
+        lambda[i] = i < n / 2 ? 1.0 - 1e-10 * static_cast<double>(i)
+                              : 0.25 / static_cast<double>(i);
+      }
+      return WithSpectrum(lambda, seed);
+    }
+    case KeptInput::kBlockDiagonal: {
+      const size_t b = n / 3;
+      const Matrix a = RandomMatrix(b, b + 2, seed, 0.0).GramOuter();
+      const Matrix c = RandomMatrix(n - 2 * b, 4, seed + 1, 0.0).GramOuter();
+      Matrix g(n, n);
+      for (size_t i = 0; i < b; ++i) {
+        for (size_t j = 0; j < b; ++j) {
+          g(i, j) = a(i, j);
+          g(b + i, b + j) = a(i, j);
+        }
+      }
+      for (size_t i = 0; i < c.rows(); ++i) {
+        for (size_t j = 0; j < c.rows(); ++j) g(2 * b + i, 2 * b + j) = c(i, j);
+      }
+      return g;
+    }
+    case KeptInput::kRankDeficient:
+      return FdBufferRows(FdBuffer::kRankDeficient, n, seed).GramOuter();
+    case KeptInput::kZero:
+      return Matrix(n, n);
+    case KeptInput::kHuge:
+    case KeptInput::kTiny: {
+      Matrix rows = FdBufferRows(FdBuffer::kRandom, n, seed);
+      const int e = kind == KeptInput::kHuge ? 450 : -450;
+      for (double& v : rows.Data()) v = std::ldexp(v, e);
+      return rows.GramOuter();
+    }
+  }
+  return Matrix(n, n);
+}
+
+class KeptVectorsProperty
+    : public ::testing::TestWithParam<std::tuple<size_t, KeptInput>> {};
+
+// TridiagEigen(s, scratch, count) on both stages: the eigenvalues are the
+// full solve's bits, and the count kept vectors meet the full solve's
+// residual and orthogonality bounds (FdGramEigenProperty's tolerances).
+TEST_P(KeptVectorsProperty, LeadingVectorsMatchTheFullSolve) {
+  const auto [n, kind] = GetParam();
+  const Matrix gram = KeptInputGram(kind, n, 7);
+  const SymmetricEigen full = TridiagEigen(gram);
+  double norm = 0.0;  // ||G||_2.
+  for (double v : full.eigenvalues) norm = std::max(norm, std::fabs(v));
+  // Residuals are taken on G / 2^e with ||G / 2^e|| in [1/2, 1), an exact
+  // scaling, so that G v - lambda v neither overflows nor underflows.
+  int e = 0;
+  std::frexp(norm, &e);
+  Matrix unit = gram;
+  for (double& x : unit.Data()) x = std::ldexp(x, -e);
+  const double unit_norm = std::ldexp(norm, -e);
+  for (size_t count : {size_t{1}, n / 8, n / 4, size_t{32}, n}) {
+    count = std::min(count, n);
+    for (simd::EigenStage stage : {simd::EigenStage::kAccumulated,
+                                   simd::EigenStage::kKeptVectors}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "count=" << count << " stage=" << static_cast<int>(stage));
+      SymmetricEigenScratch scratch;
+      const SymmetricEigen& eig =
+          simd::TridiagEigen(gram, &scratch, simd::Best(), count, stage);
+      EXPECT_EQ(scratch.inverse_vectors,
+                stage == simd::EigenStage::kKeptVectors);
+      ASSERT_EQ(eig.eigenvalues.size(), n);
+      EXPECT_EQ(std::memcmp(eig.eigenvalues.data(), full.eigenvalues.data(),
+                            n * sizeof(double)),
+                0)
+          << "eigenvalue bits";
+      ASSERT_EQ(eig.eigenvectors.rows(), n);
+      ASSERT_EQ(eig.eigenvectors.cols(), count);
+      std::vector<double> v(n), gv(n);
+      double ortho_sq = 0.0;
+      for (size_t c = 0; c < count; ++c) {
+        for (size_t r = 0; r < n; ++r) v[r] = eig.eigenvectors(r, c);
+        unit.Apply(v, gv);
+        Axpy(-std::ldexp(eig.eigenvalues[c], -e), v, gv);
+        EXPECT_LE(Norm(gv), 1e-12 * unit_norm) << "residual, c=" << c;
+        for (size_t c2 = 0; c2 < count; ++c2) {
+          double dot = 0.0;
+          for (size_t r = 0; r < n; ++r) dot += v[r] * eig.eigenvectors(r, c2);
+          const double err = dot - (c == c2 ? 1.0 : 0.0);
+          ortho_sq += err * err;
+        }
+      }
+      EXPECT_LE(std::sqrt(ortho_sq), 1e-12) << "||V^T V - I||_F";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, KeptVectorsProperty,
+    ::testing::Combine(::testing::Values<size_t>(8, 32, 64, 96, 128, 200),
+                       ::testing::Values(KeptInput::kRandom,
+                                         KeptInput::kMultiplicity,
+                                         KeptInput::kTinyGaps,
+                                         KeptInput::kBlockDiagonal,
+                                         KeptInput::kRankDeficient,
+                                         KeptInput::kZero, KeptInput::kHuge,
+                                         KeptInput::kTiny)));
 
 class MatrixAlgebraProperty
     : public ::testing::TestWithParam<std::tuple<size_t, size_t, uint64_t>> {
